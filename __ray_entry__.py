@@ -131,6 +131,26 @@ def kg_assortativity(sf_dir: str) -> Any:
     return assortativity(_kg_tables(sf_dir)["edges"])
 
 
+def _mention_hist_partial(t: Any) -> Any:
+    """Per-turn mention counts ``n`` → (n_mentions, n_turns) histogram rows.
+    A sort-based aggregate may emit zero-row or schema-less blocks; both
+    give the typed empty histogram."""
+    import pandas as pd
+    import pyarrow as pa
+
+    if t.num_rows == 0 or "n" not in t.schema.names:
+        return pa.table(
+            {"n_mentions": pa.array([], pa.int64()), "n_turns": pa.array([], pa.int64())}
+        )
+    vc = pd.Series(t["n"].to_numpy(zero_copy_only=False)).value_counts()
+    return pa.table(
+        {
+            "n_mentions": pa.array(vc.index.to_numpy("int64"), pa.int64()),
+            "n_turns": pa.array(vc.to_numpy("int64"), pa.int64()),
+        }
+    )
+
+
 def kg_mention_density_hist(sf_dir: str) -> Any:
     """Flagship-pipeline diagnostic: MENTIONS-PER-TURN histogram
     (including zero-mention turns from the transcript universe) — the
@@ -188,19 +208,8 @@ def kg_mention_density_hist(sf_dir: str) -> Any:
         .aggregate(Sum("n", alias_name="n"))
     )
 
-    def hist_partial(t: pa.Table) -> pa.Table:
-        vc = pd.Series(t["n"].to_numpy(zero_copy_only=False)).value_counts()
-        return pa.table(
-            {
-                "n_mentions": pa.array(
-                    vc.index.to_numpy("int64"), pa.int64()
-                ),
-                "n_turns": pa.array(vc.to_numpy("int64"), pa.int64()),
-            }
-        )
-
     hist_df = tree_combine(
-        per_turn.map_batches(hist_partial, batch_format="pyarrow"),
+        per_turn.map_batches(_mention_hist_partial, batch_format="pyarrow"),
         group_sum_merge(("n_mentions",), ("n_turns",)),
     ).to_pandas()
     if hist_df.empty:

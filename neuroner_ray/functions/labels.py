@@ -12,11 +12,14 @@ Reference anchors (SURVEY.md §2.2):
   src/train.py::prediction_step (≈L100–L160).
 - M9 eval-mode projection: src/evaluate.py::remap_labels (≈L20–L60).
 
-All functions are pure and operate on Python lists per sequence; batch-level
-wrappers live in the stage modules (stateless ``map_batches``).
+The list functions are pure and operate on one sequence; ``label_table``
+and ``assemble_spans_flat`` are their column-wise form for a whole batch
+(label codes of all rows, flat), used by the tagger stages.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 OUTSIDE = "O"
 
@@ -96,6 +99,58 @@ def assemble_spans(labels: list[str]) -> list[tuple[str, int, int]]:
     if open_type is not None:
         spans.append((open_type, open_start, len(labels) - 1))
     return spans
+
+
+# prefix codes of ``label_table``; anything else (O, unknown) is outside
+_B, _I, _E, _S = 1, 2, 3, 4
+_PREFIX_CODES = {"B": _B, "I": _I, "E": _E, "S": _S}
+
+
+def label_table(names: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Label dictionary → (prefix code per label, entity index per label,
+    entity names); the same ``_split`` reading as ``assemble_spans``."""
+    types: list[str] = []
+    prefix = np.zeros(len(names), dtype=np.int8)
+    ent = np.full(len(names), -1, dtype=np.int64)
+    for i, lab in enumerate(names):
+        p, e = _split(lab)
+        if p in _PREFIX_CODES:
+            prefix[i] = _PREFIX_CODES[p]
+            if e not in types:
+                types.append(e)
+            ent[i] = types.index(e)
+    return prefix, ent, types
+
+
+def assemble_spans_flat(
+    codes: np.ndarray, row_offsets: np.ndarray, prefix: np.ndarray, ent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``assemble_spans`` over every row of a batch at once.
+
+    ``codes`` are the label codes of all rows back to back (row ``r`` owns
+    ``row_offsets[r]:row_offsets[r + 1]``), read through ``label_table``.
+    Returns the first and last flat token index of each span, in order. A
+    token continues the open span iff it is I-/E- of the type a B-/I- token
+    just before it opened, in the same row; every other labelled token
+    starts a span.
+    """
+    p = prefix[codes]
+    e = ent[codes]
+    n = codes.size
+    labelled = p > 0
+    row_start = np.zeros(n + 1, dtype=bool)
+    row_start[row_offsets[:-1]] = True
+    opens = (p == _B) | (p == _I)
+    cont = np.zeros(n, dtype=bool)
+    cont[1:] = (
+        ((p[1:] == _I) | (p[1:] == _E))
+        & opens[:-1]
+        & (e[1:] == e[:-1])
+        & ~row_start[1:n]
+    )
+    ends = labelled.copy()
+    ends[:-1] &= ~cont[1:]
+    return np.flatnonzero(labelled & ~cont), np.flatnonzero(ends)
 
 
 def spans_to_bio(

@@ -48,8 +48,8 @@ def tag_turns(
 ) -> Dataset:
     """Fused tokenize+tag: the map-only hot path (no shuffle by construction).
 
-    Taggers tokenize inline (see ``_tokens_of_batch``) — one stage, no
-    intermediate Arrow tokens column. The default gazetteer tagger runs as
+    Taggers tokenize inline, column-wise (see ``stages.tagger.tokens_of_batch``)
+    — one stage, no intermediate Arrow tokens column. The default gazetteer tagger runs as
     stateless tasks (elastic, no pool ramp-up); stateful taggers (weights)
     run as an actor pool. ``num_gpus`` is the north_star GPU-actor seam:
     pass e.g. 1 (or 0.5 for packing) on a GPU cluster and Ray schedules

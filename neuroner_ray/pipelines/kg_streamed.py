@@ -7,7 +7,10 @@ emits only fixed-width *partials* — census counts plus one slim row per
 distinct (surface-triple, conv_id, turn_idx) instance (within-batch
 dedup; globally distinct because each turn lives in exactly one batch).
 No unbounded list payloads, and the corpus is never pinned in the object
-store:
+store. The fused stage is column-wise end to end: the tagger's flat
+``Tagged`` result (tokens, label codes, mention spans) feeds Arrow
+group-bys for the census and the distinct instances — no per-row Python
+between the tagger kernels and the partials:
 
     read → [tag → census partials + triple instances]        (1 pass)
          → small input: stream partials to the driver, finalize in-process
@@ -20,7 +23,9 @@ The two finalize shuffles move fixed-width rows only; O5's distinct-turn
 weights stay exact because surface variants of one canonical triple in the
 same turn collapse to identical instance rows, removed by the dedup
 groupby before counting. Equivalence with the classic pipeline is pinned
-by tests/test_streamed_pipeline.py (identical nodes and edges).
+by tests/test_streamed_pipeline.py (identical nodes and edges); the
+column-wise glue is pinned against the per-row reference functions by
+tests/test_columnar_tagging.py.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Any
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -46,8 +52,8 @@ from ..stages.graph import (
     PROVENANCE_CAP,
     materialize_graph,
 )
-from ..stages.tagger import RuleTagger
-from ..stages.triples import extract_triples_row
+from ..stages.tagger import RuleTagger, Tagged
+from ..stages.triples import triples_flat
 from ..sources.parquet import read_parquet_clean
 from .kg import _link_from_census, read_transcripts
 
@@ -78,61 +84,81 @@ _PARTIAL_SCHEMA = pa.schema(
 _INSTANCE_COLS = ["s_surf", "s_type", "pred", "o_surf", "o_type", "conv_id", "turn_idx"]
 
 
-def _partials_from_annotations(
-    rows: list[tuple[str, int, str, list[dict]]]
-) -> pa.Table:
-    """(conv_id, turn_idx, text, mentions) per row → partials union table."""
-    from collections import Counter
-
-    census: Counter = Counter()
-    instances: set[tuple] = set()
-    for cid, ti, text, mentions in rows:
-        census.update((m["ent_type"], m["surface"]) for m in mentions)
-        for s, p, o, st, ot in extract_triples_row(text, mentions):
-            # within-batch dedup; a (conv, turn) appears in exactly one
-            # batch, so the staged instance rows are globally distinct
-            # 7-tuples — cross-batch dedup is unnecessary at surface level
-            instances.add((s, st, p, o, ot, cid, int(ti)))
-    cols: dict[str, list] = {name: [] for name in _PARTIAL_SCHEMA.names}
-
-    def emit(kind, **kw):
-        cols["kind"].append(kind)
-        for name in _PARTIAL_SCHEMA.names[1:]:
-            cols[name].append(kw.get(name))
-
-    for (et, surf), n in census.items():
-        emit("c", ent_type=et, surface=surf, n=n)
-    for s, st, p, o, ot, cid, ti in sorted(instances):
-        emit(
-            "e",
-            s_surf=s,
-            s_type=st,
-            pred=p,
-            o_surf=o,
-            o_type=ot,
-            conv_id=cid,
-            turn_idx=ti,
+def _partials(batch: pa.Table, tagged: Tagged) -> pa.Table:
+    """One tagged batch → partials union table: census counts per
+    (ent_type, surface), then the distinct triple instances. Built with
+    Arrow group-bys over the flat mentions and triples; every column is a
+    fresh compact array (no views into the batch's text buffers)."""
+    census = (
+        pa.table({"ent_type": tagged.mention_type, "surface": tagged.surface})
+        .group_by(["ent_type", "surface"])
+        .aggregate([([], "count_all")])
+    )
+    s, o, pred = triples_flat(tagged)
+    rows = tagged.mention_rows[s]
+    # within-batch dedup; a (conv, turn) appears in exactly one batch, so
+    # the staged instance rows are globally distinct 7-tuples — cross-batch
+    # dedup is unnecessary at surface level
+    instances = (
+        pa.table(
+            {
+                "s_surf": tagged.surface.take(s),
+                "s_type": tagged.mention_type.take(s),
+                "pred": pred,
+                "o_surf": tagged.surface.take(o),
+                "o_type": tagged.mention_type.take(o),
+                "conv_id": batch["conv_id"].take(rows),
+                "turn_idx": pc.cast(batch["turn_idx"].take(rows), pa.int64()),
+            }
         )
-    return pa.Table.from_pydict(cols, schema=_PARTIAL_SCHEMA)
+        .group_by(_INSTANCE_COLS)
+        .aggregate([])
+        # sorted rows keep runs of equal surfaces: the disk stage compresses
+        .sort_by([(c, "ascending") for c in _INSTANCE_COLS])
+    )
+
+    return pa.concat_tables(
+        [
+            _union_rows(
+                "c",
+                census.num_rows,
+                ent_type=census["ent_type"],
+                surface=census["surface"],
+                n=census["count_all"],
+            ),
+            _union_rows(
+                "e", instances.num_rows, **{c: instances[c] for c in _INSTANCE_COLS}
+            ),
+        ]
+    ).combine_chunks()
+
+
+def _union_rows(kind: str, num_rows: int, **cols) -> pa.Table:
+    """``num_rows`` rows of one kind in ``_PARTIAL_SCHEMA``; absent columns
+    are null."""
+    return pa.Table.from_arrays(
+        [pa.repeat(pa.scalar(kind), num_rows)]
+        + [
+            cols.get(f.name, pa.nulls(num_rows, f.type))
+            for f in list(_PARTIAL_SCHEMA)[1:]
+        ],
+        schema=_PARTIAL_SCHEMA,
+    )
 
 
 class FusedAnnotator:
-    """Actor-pool stage wrapping any tagger: batch of raw turns → partials."""
+    """Actor-pool stage wrapping a tagger (anything with
+    ``annotate(batch) -> Tagged``): batch of raw turns → partials.
+
+    The tagger's column-wise ``annotate`` result (``stages.tagger.Tagged``)
+    feeds ``_partials`` directly — no ``labels``/``mentions`` columns are
+    rendered and nothing round-trips through Python lists."""
 
     def __init__(self, tagger_cls: Any = RuleTagger, tagger_args: tuple = ()):
         self.tagger = tagger_cls(*tagger_args)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        tagged = self.tagger(batch)
-        rows = list(
-            zip(
-                tagged["conv_id"].to_pylist(),
-                tagged["turn_idx"].to_pylist(),
-                tagged["text"].to_pylist(),
-                tagged["mentions"].to_pylist(),
-            )
-        )
-        return _partials_from_annotations(rows)
+        return _partials(batch, self.tagger.annotate(batch))
 
 
 # Input turns under which finalize runs driver-side (known up-front from

@@ -16502,6 +16502,44 @@ RRF_K = 60
 RRF_CANDIDATES = 100
 
 
+def _rrf_user_partial(t: pa.Table) -> pa.Table:
+    """Per-batch RRF census rows (user_id, mc clicks, mp purchase cents,
+    np purchases) for users with a click or a purchase. Zero-row and
+    schema-less blocks give an empty table with the same four columns."""
+    if t.num_rows == 0:
+        return pa.table(
+            {
+                "user_id": pa.array([], pa.int64()),
+                "mc": pa.array([], pa.int64()),
+                "mp": pa.array([], pa.int64()),
+                "np": pa.array([], pa.int64()),
+            }
+        )
+    uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    types = t["event_type"].to_numpy(zero_copy_only=False)
+    is_c = (types == "click").astype(np.int64)
+    is_p = (types == "purchase").astype(np.int64)
+    cents = round_half_away(
+        t["value"].to_numpy(zero_copy_only=False) * 100.0, 0
+    ).astype(np.int64)
+    keys, inv = np.unique(uid, return_inverse=True)
+    mc = np.zeros(keys.size, np.int64)
+    mp = np.zeros(keys.size, np.int64)
+    np_ = np.zeros(keys.size, np.int64)
+    np.add.at(mc, inv, is_c)
+    np.add.at(mp, inv, is_p * cents)
+    np.add.at(np_, inv, is_p)
+    keep = (mc > 0) | (np_ > 0)
+    return pa.table(
+        {
+            "user_id": pa.array(keys[keep], pa.int64()),
+            "mc": pa.array(mc[keep], pa.int64()),
+            "mp": pa.array(mp[keep], pa.int64()),
+            "np": pa.array(np_[keep], pa.int64()),
+        }
+    )
+
+
 def events_user_rrf_top20(sf_dir: str) -> pa.Table:
     """RECIPROCAL RANK FUSION (the rank-blending class — combine two
     heterogeneous rankings without score calibration): users ranked by
@@ -16522,41 +16560,8 @@ def events_user_rrf_top20(sf_dir: str) -> pa.Table:
         columns=["user_id", "event_type", "value"],
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "mc": pa.array([], pa.int64()),
-                    "mp": pa.array([], pa.int64()),
-                }
-            )
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        types = t["event_type"].to_numpy(zero_copy_only=False)
-        is_c = (types == "click").astype(np.int64)
-        is_p = (types == "purchase").astype(np.int64)
-        cents = round_half_away(
-            t["value"].to_numpy(zero_copy_only=False) * 100.0, 0
-        ).astype(np.int64)
-        keys, inv = np.unique(uid, return_inverse=True)
-        mc = np.zeros(keys.size, np.int64)
-        mp = np.zeros(keys.size, np.int64)
-        np_ = np.zeros(keys.size, np.int64)
-        np.add.at(mc, inv, is_c)
-        np.add.at(mp, inv, is_p * cents)
-        np.add.at(np_, inv, is_p)
-        keep = (mc > 0) | (np_ > 0)
-        return pa.table(
-            {
-                "user_id": pa.array(keys[keep], pa.int64()),
-                "mc": pa.array(mc[keep], pa.int64()),
-                "mp": pa.array(mp[keep], pa.int64()),
-                "np": pa.array(np_[keep], pa.int64()),
-            }
-        )
-
     census = (
-        ev.map_batches(partial, batch_format="pyarrow")
+        ev.map_batches(_rrf_user_partial, batch_format="pyarrow")
         .groupby("user_id")
         .aggregate(
             Sum("mc", alias_name="mc"),

@@ -7,9 +7,13 @@ callable class for ``map_batches``: weights + vocab load once per actor
 batching (sequences sorted by length, lockstep LSTM over [B,T,·] arrays)
 and vectorized Viterbi — no per-sentence Python loop over timesteps×rows.
 
-A per-actor char-feature cache memoizes the char-BiLSTM output per unique
-token (the reference recomputes it per occurrence; token surface forms
-repeat heavily, so this is a large win with identical semantics).
+The glue around the kernels is column-wise (see ``stages.tagger``): the
+batch is tokenized flat, token ids and char features are looked up once
+per distinct token of the batch, the padded ``[B,T]``/``[B,T,C]`` inputs
+are gathers from the flat arrays, and BIOES→BIO is a lookup table over
+label codes. A per-actor char-feature cache memoizes the char-BiLSTM
+output per unique token (the reference recomputes it per occurrence), and
+a per-actor sequence cache memoizes the label codes of whole turns.
 """
 
 from __future__ import annotations
@@ -18,15 +22,18 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.labels import bioes_to_bio
+from ..functions.tokenize import FlatTokens, concat_ranges
 from ..state.checkpoint import load_checkpoint
+from ..state.vocab import UNK
 from ..state.model import (
     char_features_unique,
     forward_scores_batch,
     viterbi_decode_batch,
 )
-from .tagger import _append_labels_mentions
+from .tagger import LabelSet, Tagged, tokens_of_batch
 
 # resolved against the repo root (package parent), not the cwd: Ray workers
 # and processes launched elsewhere must find the same fixture checkpoint
@@ -59,106 +66,136 @@ class NeuralTagger:
             k: v.astype(np.float32) if v.dtype == np.float64 else v
             for k, v in self.params.items()
         }
-        self.emit_bio = emit_bio
         self.bucket_size = bucket_size
         self.char_dim2 = 2 * self.params["char_Wh_f"].shape[0]
+        # model label index → output label code: BIOES→BIO is a lookup
+        # table, not a per-token string rewrite
+        i2l = self.vocab.index_to_label
+        names = bioes_to_bio(i2l) if emit_bio else list(i2l)
+        uniq = list(dict.fromkeys(names))
+        self.labels = LabelSet(uniq)
+        self._lut = np.array([uniq.index(n) for n in names], dtype=np.int64)
         self._char_cache: dict[str, np.ndarray] = {}
-        self._seq_cache: dict[tuple, list[str]] = {}
+        self._seq_cache_clear()
 
     # -- char features with per-unique-token memoization -------------------
-    def _char_feats(self, tokens: list[str]) -> np.ndarray:
+    def _char_feats(self, distinct: list[str]) -> np.ndarray:
+        """[len(distinct), C] char features, one row per distinct token."""
         # evict BEFORE inserting this batch's tokens, so the entries the
         # stack below depends on are never cleared out from under it
         if len(self._char_cache) > _CACHE_MAX:
             self._char_cache.clear()
-        missing = [t for t in set(tokens) if t not in self._char_cache]
+        missing = [t for t in distinct if t not in self._char_cache]
         if missing:
             ids = [self.vocab.char_indices(t) for t in missing]
             feats = char_features_unique(self.params, ids)
             for t, f in zip(missing, feats):
                 self._char_cache[t] = f
-        if not tokens:
-            return np.zeros((0, self.char_dim2), dtype=self.params["char_emb"].dtype)
-        return np.stack([self._char_cache[t] for t in tokens])
+        return np.stack([self._char_cache[t] for t in distinct])
 
     _MAX_BUCKET_AREA = 400_000  # rows × padded length cap (bounds [B,T,C] RAM)
 
-    def _buckets(self, order: list[int], seqs: list[list[str]]):
-        """Length-sorted buckets capped by row count AND padded area, so one
-        pathological 10k-token turn can't force a huge padded batch."""
-        bucket: list[int] = []
-        max_len = 0
-        for i in order:
-            if not seqs[i]:
-                continue
-            cand_len = max(max_len, len(seqs[i]))
-            if bucket and (
-                len(bucket) >= self.bucket_size
-                or (len(bucket) + 1) * cand_len > self._MAX_BUCKET_AREA
-            ):
-                yield bucket
-                bucket, max_len = [], 0
-                cand_len = len(seqs[i])
-            bucket.append(i)
-            max_len = cand_len
-        if bucket:
-            yield bucket
+    def _buckets(self, lengths: np.ndarray):
+        """Length-sorted buckets (stable order, empty sequences skipped)
+        capped by row count AND padded area, so one pathological 10k-token
+        turn can't force a huge padded batch. Yields sequence indices."""
+        order = np.argsort(lengths, kind="stable")
+        order = order[lengths[order] > 0]
+        sl = lengths[order]
+        i = 0
+        while i < order.size:
+            # bucket [i, i+k): lengths ascend, so k rows pad to sl[i+k-1]
+            k = np.arange(1, min(self.bucket_size, order.size - i) + 1)
+            fits = k * sl[i : i + k.size] <= self._MAX_BUCKET_AREA
+            k_max = max(1, int(np.argmin(fits)) if not fits.all() else k.size)
+            yield order[i : i + k_max]
+            i += k_max
 
-    def _tag_sequences(self, seqs: list[list[str]]) -> list[list[str]]:
-        """Tag many token sequences with length-bucketed padded batches."""
-        out: list[list[str]] = [[] for _ in seqs]
-        order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
-        i2l = self.vocab.index_to_label
-        for bidx in self._buckets(order, seqs):
-            lengths = np.array([len(seqs[i]) for i in bidx], dtype=np.int64)
-            Tmax = int(lengths.max())
-            B = len(bidx)
-            tok_pad = np.zeros((B, Tmax), dtype=np.int64)
-            # match the float32 inference dtype: a default-float64 pad
-            # would upcast the cached features and force forward_scores to
-            # copy the whole [B,T,2H] array back down
-            chf_pad = np.zeros(
-                (B, Tmax, self.char_dim2), dtype=self.params["char_emb"].dtype
-            )
-            for row, i in enumerate(bidx):
-                toks = seqs[i]
-                tok_pad[row, : len(toks)] = [
-                    self.vocab.token_index(t) for t in toks
-                ]
-                chf_pad[row, : len(toks)] = self._char_feats(toks)
-            U = forward_scores_batch(self.params, tok_pad, chf_pad, lengths)
-            paths = viterbi_decode_batch(U, self.params["crf_A"], lengths)
-            for row, i in enumerate(bidx):
-                labs = [i2l[j] for j in paths[row, : lengths[row]]]
-                out[i] = bioes_to_bio(labs) if self.emit_bio else labs
-        return out
+    def _tag_sequences(self, tokens: FlatTokens, rows: np.ndarray) -> np.ndarray:
+        """Label codes of the given rows' tokens, back to back in ``rows``
+        order, from length-bucketed padded batches."""
+        offsets = tokens.row_offsets
+        lengths = offsets[rows + 1] - offsets[rows]
+        seq_off = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=seq_off[1:])
+        out = np.zeros(int(seq_off[-1]), dtype=np.int64)
+        if out.size == 0:
+            return out
+        enc = tokens.text.take(concat_ranges(offsets[rows], lengths)).dictionary_encode()
+        at = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        distinct = enc.dictionary.to_pylist()
+        t2i = self.vocab.token_to_index
+        unk = t2i[UNK]
+        tok_ids = np.array([t2i.get(t, unk) for t in distinct], dtype=np.int64)
+        feats = self._char_feats(distinct)
+        for b in self._buckets(lengths):
+            L = lengths[b]
+            Tmax = int(L.max())
+            mask = np.arange(Tmax)[None, :] < L[:, None]
+            pos = np.where(mask, seq_off[b][:, None] + np.arange(Tmax)[None, :], 0)
+            tok_pad = np.where(mask, tok_ids[at[pos]], 0)
+            # float32 like the cached features: a float64 pad would force
+            # forward_scores to copy the whole [B,T,2H] array back down
+            chf_pad = feats[at[pos]]
+            chf_pad[~mask] = 0.0
+            U = forward_scores_batch(self.params, tok_pad, chf_pad, L)
+            paths = viterbi_decode_batch(U, self.params["crf_A"], L)
+            out[pos[mask]] = paths[mask]
+        return self._lut[out]
 
-    def _tag_sequences_cached(self, seqs: list[list[str]]) -> list[list[str]]:
-        """Per-actor memo over whole token sequences: transcripts repeat
-        turn text heavily (~54% duplicate turns in the synthetic corpus;
+    def _seq_cache_clear(self) -> None:
+        self._seq_keys = pa.array([], pa.string())
+        self._seq_offsets = np.zeros(1, dtype=np.int64)
+        self._seq_codes = np.zeros(0, dtype=np.int64)
+
+    def _codes(self, tokens: FlatTokens, keys: pa.Array) -> np.ndarray:
+        """Per-actor memo over whole turns: transcripts repeat turn text
+        heavily (~54% duplicate turns in the synthetic corpus;
         greetings/acks dominate real ones too), and the tagger is
-        deterministic per sequence, so identical turns need one forward
-        pass per actor, not one per occurrence. Same clear-at-cap policy
-        as the char cache (bounded actor heap)."""
-        if len(self._seq_cache) > _SEQ_CACHE_MAX:
-            self._seq_cache.clear()
-        keys = [tuple(s) for s in seqs]
-        missing: list[tuple] = []
-        seen: set[tuple] = set()
-        for k in keys:
-            if k not in self._seq_cache and k not in seen:
-                seen.add(k)
-                missing.append(k)
-        if missing:
-            tagged = self._tag_sequences([list(k) for k in missing])
-            for k, labs in zip(missing, tagged):
-                self._seq_cache[k] = labs
-        return [self._seq_cache[k] for k in keys]
+        deterministic per token sequence, so identical turns need one
+        forward pass per actor, not one per occurrence. Keys identify the
+        token sequence; the memo is Arrow (keys) + NumPy (codes), looked up
+        with ``index_in``. Same clear-at-cap policy as the char cache
+        (bounded actor heap)."""
+        if len(self._seq_keys) > _SEQ_CACHE_MAX:
+            self._seq_cache_clear()
+        enc = keys.dictionary_encode()
+        row_key = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        slot = (
+            pc.index_in(enc.dictionary, value_set=self._seq_keys)
+            .fill_null(-1)
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        new = np.flatnonzero(slot < 0)  # distinct keys, first-appearance order
+        if new.size:
+            _, first_row = np.unique(row_key, return_index=True)
+            rows = first_row[new]
+            codes = self._tag_sequences(tokens, rows)
+            slot[new] = len(self._seq_keys) + np.arange(new.size)
+            self._seq_keys = pa.concat_arrays([self._seq_keys, enc.dictionary.take(new)])
+            lengths = tokens.row_offsets[rows + 1] - tokens.row_offsets[rows]
+            self._seq_offsets = np.concatenate(
+                [self._seq_offsets, self._seq_offsets[-1] + np.cumsum(lengths)]
+            )
+            self._seq_codes = np.concatenate([self._seq_codes, codes])
+        s = slot[row_key]
+        return self._seq_codes[
+            concat_ranges(self._seq_offsets[s], self._seq_offsets[s + 1] - self._seq_offsets[s])
+        ]
+
+    def annotate(self, batch: pa.Table) -> Tagged:
+        tokens = tokens_of_batch(batch)
+        return Tagged(tokens, self._codes(tokens, _sequence_keys(tokens)), self.labels)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .tagger import _tokens_of_batch
+        return self.annotate(batch).append_to(batch)
 
-        toks_per_row = _tokens_of_batch(batch)
-        seqs = [[t for t, _, _ in toks] for toks in toks_per_row]
-        labels_per_row = self._tag_sequences_cached(seqs)
-        return _append_labels_mentions(batch, labels_per_row, toks_per_row)
+
+def _sequence_keys(tokens: FlatTokens) -> pa.Array:
+    """One string per row that identifies its token sequence exactly: the
+    tokens joined by NUL, after escaping backslash and NUL inside them."""
+    esc = pc.replace_substring(tokens.text, "\\", "\\\\")
+    esc = pc.replace_substring(esc, "\x00", "\\0")
+    lists = pa.ListArray.from_arrays(pa.array(tokens.row_offsets, pa.int32()), esc)
+    return pc.binary_join(lists, "\x00")

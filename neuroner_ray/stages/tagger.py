@@ -11,16 +11,32 @@ implementations share the same contract (tokens in → BIO labels out):
 - ``NeuralTagger`` (``neuroner_ray.state.model``): the NumPy BiLSTM-CRF
   reimplementation of src/entity_lstm.py::EntityLSTM (SURVEY.md §2.3 T2/T3).
 
+Both work column-wise on a whole batch: ``annotate`` tokenizes the batch
+flat (``tokenize_flat``, or the ``tokens`` column when present), gives
+every token a label code and assembles mention spans by run-length over
+the codes — a ``Tagged`` result with no per-row Python. ``__call__``
+renders it as the public ``labels``/``mentions`` columns; the streamed
+pipeline's ``FusedAnnotator`` consumes the ``Tagged`` result directly.
+``tag_tokens``/``mentions_from_labels`` are the per-row reference forms.
+
 Both are callable classes → Ray actor pools: expensive setup (trie build /
 weight load) happens once per actor in ``__init__``, not per batch.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.labels import assemble_spans
-from ..functions.tokenize import tokenize_text
+from ..functions.labels import assemble_spans, assemble_spans_flat, label_table
+from ..functions.tokenize import (
+    FlatTokens,
+    TextBuffer,
+    concat_ranges,
+    tokenize_flat,
+    tokenize_text,
+)
 from ..schemas import MENTION_STRUCT
 from ..sources.synth_transcripts import GAZETTEER
 
@@ -82,58 +98,86 @@ def mentions_from_labels(
     return out
 
 
-def _tokens_of_batch(batch: pa.Table) -> list[list[tuple[str, int, int]]]:
-    """Per-row (text, start, end) tuples: reuse the ``tokens`` column when the
-    batch was pre-tokenized, else tokenize inline (fused fast path — avoids
-    materializing an Arrow list<struct> column that is immediately unpacked
-    again)."""
-    if "tokens" in batch.column_names:
-        return [
-            [(t["text"], t["start"], t["end"]) for t in toks]
-            for toks in batch["tokens"].to_pylist()
-        ]
-    return [
-        tokenize_text(t) if t else [] for t in batch["text"].to_pylist()
-    ]
+def tokens_of_batch(batch: pa.Table) -> FlatTokens:
+    """The batch's tokens, flat: the ``tokens`` column when the batch was
+    pre-tokenized (read via ``list_flatten`` + parent indices), else the
+    ``text`` column tokenized in one pass."""
+    if "tokens" not in batch.column_names:
+        return tokenize_flat(batch["text"])
+    col = batch["tokens"].combine_chunks()
+    flat = pc.list_flatten(col)
+    per_row = np.bincount(
+        pc.list_parent_indices(col).to_numpy(zero_copy_only=False), minlength=len(col)
+    )
+    row_offsets = np.zeros(len(col) + 1, dtype=np.int64)
+    np.cumsum(per_row, out=row_offsets[1:])
+    start, end = (
+        pc.struct_field(flat, f).to_numpy(zero_copy_only=False).astype(np.int32)
+        for f in ("start", "end")
+    )
+    return FlatTokens(
+        source=TextBuffer(batch["text"]),
+        row_offsets=row_offsets,
+        start=start,
+        end=end,
+        text=pc.struct_field(flat, "text"),
+    )
 
 
-def _append_labels_mentions(
-    batch: pa.Table,
-    labels_per_row: list[list[str]],
-    toks_per_row: list[list[tuple[str, int, int]]],
-) -> pa.Table:
-    """Append ``labels`` and assembled ``mentions`` columns."""
-    texts = batch["text"].to_pylist()
-    men_offsets = [0]
-    m_type: list[str] = []
-    m_start: list[int] = []
-    m_end: list[int] = []
-    m_surf: list[str] = []
-    for text, toks, labs in zip(texts, toks_per_row, labels_per_row):
-        starts = [s for _, s, _ in toks]
-        ends = [e for _, _, e in toks]
-        for m in mentions_from_labels(text, labs, starts, ends):
-            m_type.append(m["ent_type"])
-            m_start.append(m["start"])
-            m_end.append(m["end"])
-            m_surf.append(m["surface"])
-        men_offsets.append(len(m_type))
-    mention_values = pa.StructArray.from_arrays(
-        [
-            pa.array(m_type, pa.string()),
-            pa.array(m_start, pa.int32()),
-            pa.array(m_end, pa.int32()),
-            pa.array(m_surf, pa.string()),
-        ],
-        fields=list(MENTION_STRUCT),
-    )
-    batch = batch.append_column(
-        "labels", pa.array(labels_per_row, pa.list_(pa.string()))
-    )
-    return batch.append_column(
-        "mentions",
-        pa.ListArray.from_arrays(pa.array(men_offsets, pa.int32()), mention_values),
-    )
+class LabelSet:
+    """A tagger's label dictionary: label code → name, span prefix, type."""
+
+    def __init__(self, names: list[str]):
+        self.names = pa.array(names, pa.string())
+        self.prefix, self.ent, types = label_table(names)
+        self.types = pa.array(types, pa.string())
+
+
+class Tagged:
+    """Column-wise tagger output for one batch: flat tokens, one label code
+    per token, and the mentions assembled from them (flat, in row order;
+    ``mention_rows`` says whose)."""
+
+    def __init__(self, tokens: FlatTokens, codes: np.ndarray, labels: LabelSet):
+        self.tokens = tokens
+        self.codes = codes
+        self.labels = labels
+        first, last = assemble_spans_flat(
+            codes, tokens.row_offsets, labels.prefix, labels.ent
+        )
+        self.first_token, self.last_token = first, last
+        self.mention_rows = np.searchsorted(tokens.row_offsets, first, side="right") - 1
+        self.mention_start = tokens.start[first]
+        self.mention_end = tokens.end[last]
+        self.mention_type = labels.types.take(labels.ent[codes[first]])
+        self.surface = tokens.source.substrings(
+            self.mention_rows, self.mention_start, self.mention_end
+        )
+
+    def append_to(self, batch: pa.Table) -> pa.Table:
+        """``batch`` + ``labels: list<string>`` + ``mentions: list<struct>``."""
+        n_rows = self.tokens.row_offsets.size - 1
+        mention_offsets = np.searchsorted(self.mention_rows, np.arange(n_rows + 1))
+        mentions = pa.StructArray.from_arrays(
+            [
+                self.mention_type,
+                pa.array(self.mention_start, pa.int32()),
+                pa.array(self.mention_end, pa.int32()),
+                self.surface,
+            ],
+            fields=list(MENTION_STRUCT),
+        )
+        batch = batch.append_column(
+            "labels",
+            pa.ListArray.from_arrays(
+                pa.array(self.tokens.row_offsets, pa.int32()),
+                self.labels.names.take(self.codes),
+            ),
+        )
+        return batch.append_column(
+            "mentions",
+            pa.ListArray.from_arrays(pa.array(mention_offsets, pa.int32()), mentions),
+        )
 
 
 class RuleTagger:
@@ -143,38 +187,93 @@ class RuleTagger:
     concurrency=N)``; the match trie is built once per actor. Accepts raw
     turns (tokenizes inline — the fused fast path) or pre-tokenized batches
     with a ``tokens`` column.
+
+    Matching is ``tag_tokens`` column-wise: every position whose token
+    starts a gazetteer surface takes its first matching candidate (trie
+    order: longest first), then overlapping matches resolve greedily left
+    to right — a fixed-point pass over the matches, not over the tokens.
     """
 
     def __init__(self, gazetteer: dict[str, list[str]] | None = None):
         self.trie = build_trie(gazetteer)
+        types = sorted({et for cands in self.trie.values() for _, et in cands})
+        self.labels = LabelSet(["O"] + [p + t for t in types for p in ("B-", "I-")])
+        vocab = sorted({t for cands in self.trie.values() for toks, _ in cands for t in toks})
+        self._vocab = pa.array(vocab, pa.string())
+        tid = {t: i for i, t in enumerate(vocab)}
+        # patterns in trie order; _by_first[token id] = its candidates
+        self._pat_ids: list[np.ndarray] = []
+        self._by_first: dict[int, list[int]] = {}
+        pat_type = []
+        for first, cands in self.trie.items():
+            for toks, et in cands:
+                self._by_first.setdefault(tid[first], []).append(len(self._pat_ids))
+                self._pat_ids.append(np.array([tid[t] for t in toks], dtype=np.int64))
+                pat_type.append(types.index(et))
+        self._pat_len = np.array([p.size for p in self._pat_ids], dtype=np.int64)
+        self._pat_type = np.array(pat_type, dtype=np.int64)
+
+    def _codes(self, tokens: FlatTokens) -> np.ndarray:
+        n = len(tokens.text)
+        tid = (
+            pc.index_in(tokens.text, value_set=self._vocab)
+            .fill_null(-1)
+            .to_numpy(zero_copy_only=False)
+            .astype(np.int64)
+        )
+        row_end = tokens.row_offsets[1:][tokens.rows]
+        best = np.full(n, -1, dtype=np.int64)
+        cand = np.flatnonzero(tid >= 0)
+        for first in np.unique(tid[cand]):
+            pos = cand[tid[cand] == first]
+            # lowest priority first, so the first matching candidate wins
+            for pid in reversed(self._by_first.get(int(first), ())):
+                pat = self._pat_ids[pid]
+                ok = pos + pat.size <= row_end[pos]
+                for k in range(1, pat.size):
+                    ok &= tid[np.minimum(pos + k, n - 1)] == pat[k]
+                best[pos[ok]] = pid
+        start = np.flatnonzero(best >= 0)
+        stop = start + self._pat_len[best[start]]
+        keep = np.ones(start.size, dtype=bool)
+        while True:  # converges in (longest overlap chain) rounds
+            reach = np.maximum.accumulate(np.where(keep, stop, 0))
+            nxt = np.ones_like(keep)
+            nxt[1:] = start[1:] >= reach[:-1]
+            if np.array_equal(nxt, keep):
+                break
+            keep = nxt
+        start = start[keep]
+        pid = best[start]
+        inner = self._pat_len[pid] - 1
+        codes = np.zeros(n, dtype=np.int64)  # "O"
+        codes[concat_ranges(start + 1, inner)] = np.repeat(2 + 2 * self._pat_type[pid], inner)
+        codes[start] = 1 + 2 * self._pat_type[pid]
+        return codes
+
+    def annotate(self, batch: pa.Table) -> Tagged:
+        tokens = tokens_of_batch(batch)
+        return Tagged(tokens, self._codes(tokens), self.labels)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        toks_per_row = _tokens_of_batch(batch)
-        labels_per_row = [
-            tag_tokens([t for t, _, _ in toks], self.trie) for toks in toks_per_row
-        ]
-        return _append_labels_mentions(batch, labels_per_row, toks_per_row)
+        return self.annotate(batch).append_to(batch)
 
 
-_DEFAULT_TRIE: dict | None = None
+_DEFAULT_TAGGER: RuleTagger | None = None
 
 
 def rule_tag_batch(batch: pa.Table) -> pa.Table:
     """Stateless-task variant of RuleTagger with the default gazetteer.
 
     A plain function schedules as elastic tasks (no actor-pool ramp-up);
-    the trie is built once per worker process and cached in the module
+    the tagger is built once per worker process and cached in the module
     global — same semantics as the actor, better scaling for the cheap
     gazetteer tagger. Use the class form for taggers with real state
     (NeuralTagger's weights)."""
-    global _DEFAULT_TRIE
-    if _DEFAULT_TRIE is None:
-        _DEFAULT_TRIE = build_trie(None)
-    toks_per_row = _tokens_of_batch(batch)
-    labels_per_row = [
-        tag_tokens([t for t, _, _ in toks], _DEFAULT_TRIE) for toks in toks_per_row
-    ]
-    return _append_labels_mentions(batch, labels_per_row, toks_per_row)
+    global _DEFAULT_TAGGER
+    if _DEFAULT_TAGGER is None:
+        _DEFAULT_TAGGER = RuleTagger()
+    return _DEFAULT_TAGGER(batch)
 
 
 def explode_mentions(batch: pa.Table) -> pa.Table:

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.tokenize import concat_ranges
+from .tagger import Tagged
 
 # normalized between-mention token string → canonical predicate
 PREDICATE_LEXICON: dict[str, str] = {
@@ -31,6 +36,8 @@ PREDICATE_LEXICON: dict[str, str] = {
     "partnered with": "partnered_with",
 }
 MAX_GAP_CHARS = 40  # mentions further apart than this never relate
+_LEXICON_GAPS = pa.array(list(PREDICATE_LEXICON), pa.string())
+_LEXICON_PREDS = pa.array(list(PREDICATE_LEXICON.values()), pa.string())
 
 _NORM_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -54,6 +61,36 @@ def extract_triples_row(
                 (a["surface"], pred, b["surface"], a["ent_type"], b["ent_type"])
             )
     return out
+
+
+def triples_flat(tagged: Tagged) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+    """``extract_triples_row`` over a whole tagged batch.
+
+    Returns (subject mention index, object mention index, predicate) per
+    triple. The normalized gap is built from the word tokens between the
+    two mentions: when the tokens come from the text (raw turns), they are
+    maximal word runs or single other characters, so these are exactly
+    the runs ``_normalize_gap`` finds in the gap text.
+    """
+    rows = tagged.mention_rows
+    a = np.flatnonzero(rows[:-1] == rows[1:])  # adjacent mentions, one row
+    near = tagged.mention_start[a + 1] - tagged.mention_end[a] <= MAX_GAP_CHARS
+    a = a[near]
+    b = a + 1
+    lo = tagged.last_token[a] + 1
+    n_between = tagged.first_token[b] - lo
+    toks = tagged.tokens.text.take(concat_ranges(lo, n_between))
+    word = pc.match_substring_regex(toks, "^[A-Za-z0-9_]+$")
+    per_pair = np.bincount(
+        np.repeat(np.arange(a.size), n_between)[word.to_numpy(zero_copy_only=False)],
+        minlength=a.size,
+    )
+    offsets = np.zeros(a.size + 1, dtype=np.int32)
+    np.cumsum(per_pair, out=offsets[1:])
+    gaps = pc.binary_join(pa.ListArray.from_arrays(pa.array(offsets), toks.filter(word)), " ")
+    hit = pc.index_in(pc.ascii_lower(gaps), value_set=_LEXICON_GAPS)
+    keep = hit.is_valid().to_numpy(zero_copy_only=False)
+    return a[keep], b[keep], _LEXICON_PREDS.take(hit.drop_null())
 
 
 def extract_triples_batch(batch: pa.Table) -> pa.Table:

@@ -182,18 +182,32 @@ def test_streamed_distributed_handles_degenerate_corpora(tmp_path, monkeypatch):
         assert streamed["edges"].count() == 0, name
 
 
-def test_streamed_equals_classic_neural(tpath):
-    """Streamed == classic under the NEURAL tagger too — guards the
-    per-actor sequence memo (tag results must not depend on batch
-    composition or arrival order)."""
+@pytest.fixture(scope="module")
+def classic_neural(tpath):
     from neuroner_ray.stages.neural_tagger import NeuralTagger
 
     ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint")
     classic = kg.run_pipeline(tpath, tagger=NeuralTagger, tagger_args=(ckpt,))
+    return _nodes_norm(classic["nodes"]), _edges_norm(classic["edges"])
+
+
+@pytest.mark.parametrize("finalize", ["driver", "distributed"])
+def test_streamed_equals_classic_neural(tpath, classic_neural, monkeypatch, finalize):
+    """Streamed == classic under the NEURAL tagger too — guards the
+    per-actor sequence memo (tag results must not depend on batch
+    composition or arrival order) and the partials producer under both
+    finalize regimes (``SMALL_INPUT_TURNS_MAX=0`` forces the distributed
+    one)."""
+    import neuroner_ray.pipelines.kg_streamed as ks
+    from neuroner_ray.stages.neural_tagger import NeuralTagger
+
+    ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint")
+    if finalize == "distributed":
+        monkeypatch.setattr(ks, "SMALL_INPUT_TURNS_MAX", 0)
     streamed = run_pipeline_streamed(
         tpath, tagger=NeuralTagger, tagger_args=(ckpt,), batch_size=64
     )
-    assert _nodes_norm(classic["nodes"]).equals(_nodes_norm(streamed["nodes"]))
-    a = _edges_norm(classic["edges"])
+    nodes, a = classic_neural
+    assert nodes.equals(_nodes_norm(streamed["nodes"]))
     b = _edges_norm(streamed["edges"])
     assert a.equals(b), (a.head(), b.head())
