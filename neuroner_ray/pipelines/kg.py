@@ -24,11 +24,12 @@ from ray.data import Dataset
 
 from ..stages.canonicalize import connected_components
 from ..stages.graph import (
+    aggregate_edges,
     build_nodes,
     canonical_map,
     materialize_graph,
 )
-from ..stages.linker import candidate_pairs, surface_census
+from ..stages.linker import candidate_pairs, node_keys, surface_census
 from ..stages.tagger import RuleTagger, explode_mentions
 from ..stages.triples import extract_triples_batch
 from ..sources.parquet import read_parquet_clean
@@ -119,7 +120,6 @@ def _link_small_census(census: Dataset) -> tuple[Dataset, Dataset]:
         LINK_CAP,
         _block_keys_batch,
         _pairs_in_block,
-        node_key,
         salt_hot_blocks,
         salt_threshold_for,
     )
@@ -138,10 +138,7 @@ def _link_small_census(census: Dataset) -> tuple[Dataset, Dataset]:
     pair_list: list[tuple[str, str]] = []
     for f in pair_frames:
         pair_list.extend(zip(f["a"], f["b"]))
-    nodes_list = [
-        node_key(e, s)
-        for e, s in zip(ctab["ent_type"].to_pylist(), ctab["surface"].to_pylist())
-    ]
+    nodes_list = node_keys(ctab["ent_type"], ctab["surface"]).to_pylist()
     labels = union_find(nodes_list, pair_list)
     cdf = ctab.to_pandas()
     cdf["node"] = nodes_list
@@ -174,19 +171,7 @@ def _link_from_census(census: Dataset) -> tuple[Dataset, Dataset]:
         return _link_small_census(census)
     pairs = candidate_pairs(census)
     node_ids = census.map_batches(
-        lambda t: pa.table(
-            {
-                "node": pa.array(
-                    [
-                        f"{e}|{s}"
-                        for e, s in zip(
-                            t["ent_type"].to_pylist(), t["surface"].to_pylist()
-                        )
-                    ],
-                    pa.string(),
-                )
-            }
-        ),
+        lambda t: pa.table({"node": node_keys(t["ent_type"], t["surface"])}),
         batch_format="pyarrow",
     )
     labels = connected_components(pairs, node_ids)
@@ -213,10 +198,7 @@ def run_pipeline(
         concurrency=concurrency, num_gpus=num_gpus,
     ).materialize()
     nodes = link_and_canonicalize_tagged(tagged)[0].materialize()
-    mapping = canonical_map(nodes)
-    from ..stages.graph import tagged_to_edges
-
-    edges = tagged_to_edges(tagged, mapping)
+    edges = aggregate_edges(triples_of(tagged), canonical_map(nodes))
     out = {
         # mentions/triples stay lazy derivations of the materialized tagged
         # checkpoint — cheap map passes for any consumer that wants them

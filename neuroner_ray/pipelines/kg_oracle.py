@@ -28,8 +28,9 @@ Semantics mirrored here (and the Python anchors they must match):
   min surface). The embedding-cosine disjunct of the match rule is not
   SQL-expressible (blake2b feature hashing); the same test asserts it adds
   no pairs beyond the SQL-expressible disjuncts on this corpus.
-- **Edges** (`graph.py::tagged_to_edges`): triples resolved through the
-  canonical map, weight = distinct (conv_id, turn_idx) per (src, dst, pred).
+- **Edges** (`graph.py::aggregate_edges`, kernel `edge_partials` /
+  `merge_edges`): triples resolved through the canonical map, weight =
+  distinct (conv_id, turn_idx) per (src, dst, pred).
 """
 
 from __future__ import annotations

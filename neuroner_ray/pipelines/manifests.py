@@ -246,12 +246,7 @@ def finalize_graph(out_dir: str, config: dict) -> dict:
     nothing changed.
     """
     from ..pipelines import kg
-    from ..stages.graph import (
-        aggregate_edges,
-        canonical_map,
-        materialize_graph,
-        resolve_triples,
-    )
+    from ..stages.graph import aggregate_edges, canonical_map, materialize_graph
 
     cfg_hash = config_hash(config)
     done = sorted(completed_buckets(out_dir, cfg_hash), key=str)
@@ -267,9 +262,8 @@ def finalize_graph(out_dir: str, config: dict) -> dict:
     t0 = time.time()
     mentions = read_output(out_dir, "mentions", tags=done)
     nodes = kg.link_and_canonicalize(mentions)[0].materialize()
-    mapping = canonical_map(nodes)
     triples = read_output(out_dir, "triples", tags=done)
-    edges = aggregate_edges(resolve_triples(triples, mapping))
+    edges = aggregate_edges(triples, canonical_map(nodes))
     # finalize outputs get the same tmp+rename atomicity as bucket outputs:
     # materialize_graph APPENDS uniquely-named files, so writing straight
     # into <out>/nodes|edges would mix files from multiple executions

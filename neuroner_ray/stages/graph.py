@@ -2,46 +2,50 @@
 
 - **build_nodes** (A6 tail): cluster labels + surface census → canonical
   entity nodes. One groupby on the cluster label (vocabulary-sized input).
-- **resolve_triples** (J5): triple surfaces → canonical ``entity_id``. The
-  canonical map is vocabulary-sized → broadcast once via ``ray.put`` and
-  looked up per batch (ray_guide: broadcast small sides, never reship per
-  batch, never shuffle-join a small side). A ``Dataset.join`` fallback
-  exists for maps too large to broadcast.
-- **aggregate_edges** (O5+A7): exact dedup of (src,dst,pred,conv,turn) and
-  weight/provenance aggregation in ONE groupby shuffle on (src,dst,pred);
-  provenance is a deterministically capped sample (cap recorded, not
-  silent).
+- **canonical_map / entity_ids** (J5): the one resolver. ``canonical_map``
+  is a vocabulary-sized (node key, entity_id) Arrow table; ``entity_ids``
+  looks surfaces up in it with ``index_in`` and gives a surface that no
+  node claims the synthetic ``type:surface`` id, so nothing drops.
+- **edge_partials / merge_edges** (O5+A7): the one edge kernel. Weight =
+  number of distinct (conv_id, turn_idx) behind a (src, dst, pred) edge;
+  provenance = its smallest ``PROVENANCE_CAP`` of those turns. Both are
+  column-wise and emit exactly ``schemas.EDGES``; ``merge_edges`` is
+  associative over conv-disjoint partials, so any tree of merges is exact.
+- **aggregate_edges**: resolve → conv-hash bucket → ``edge_partials`` per
+  bucket → ``tree_combine(merge_edges)``. Every duplicate of a
+  (src, dst, pred, conv, turn) row shares its conv, hence its bucket, so
+  the per-bucket dedup is global whatever the block layout.
 - **materialize_graph** (S9): partitioned Parquet, ``bucket =
-  crc32(key) % B`` directories + per-bucket lineage manifests → resume unit
-  (SURVEY.md §4.4).
+  hash(key) % B`` directories → resume unit (SURVEY.md §4.4).
 """
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
 
-from .linker import node_key
+from ..runtime.combine import tree_combine
+from ..runtime.hashing import hash_buckets
+from ..schemas import EDGES, PROVENANCE_STRUCT
+from .linker import node_keys
 
 PROVENANCE_CAP = 5
 NUM_BUCKETS_DEFAULT = 16  # output partition count (shared by all writers)
+# conv-hash buckets of aggregate_edges: bounds every reduce task to
+# ~1/EDGE_BUCKETS of the instances AND splits hot edges across tasks
+EDGE_BUCKETS = 64
 
 
-def resolve_entity_id(
-    mapping: dict[str, tuple[str, str]], ent_type: str, surface: str
-) -> str:
-    """Canonical-map lookup with the unresolved-surface policy in ONE place:
-    surfaces missing from the map keep a synthetic ``ent_type:surface`` id
-    (format must match ``_node_rows``' entity_id) so nothing drops silently.
-    Used by every resolution site (J5, streamed finalize, driver finalize).
-    """
-    return mapping.get(node_key(ent_type, surface), (f"{ent_type}:{surface}", surface))[0]
+def entity_id_of(ent_type, surface):
+    """The ``{type}:{surface}`` entity id: a node's id (after its canonical
+    surface) and the id of a surface no node claims. Takes strings (returns
+    a scalar) or Arrow string arrays."""
+    return pc.binary_join_element_wise(ent_type, surface, ":")
 
 
 def _node_rows(group: pd.DataFrame) -> pd.DataFrame:
@@ -52,7 +56,7 @@ def _node_rows(group: pd.DataFrame) -> pd.DataFrame:
     ent_type = g["ent_type"].iloc[0]
     return pd.DataFrame(
         {
-            "entity_id": [f"{ent_type}:{canonical}"],
+            "entity_id": [entity_id_of(ent_type, canonical).as_py()],
             "canonical": [canonical],
             "ent_type": [ent_type],
             "surfaces": [sorted(g["surface"].tolist())],
@@ -79,18 +83,7 @@ def build_nodes(
     labels = labels.materialize()
 
     def _with_node(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "node",
-            pa.array(
-                [
-                    node_key(e, s)
-                    for e, s in zip(
-                        t["ent_type"].to_pylist(), t["surface"].to_pylist()
-                    )
-                ],
-                pa.string(),
-            ),
-        )
+        return t.append_column("node", node_keys(t["ent_type"], t["surface"]))
 
     keyed = surfaces.map_batches(_with_node, batch_format="pyarrow")
     if labels.count() <= broadcast_max_rows:
@@ -128,189 +121,135 @@ def build_nodes(
     return joined.groupby("label").map_groups(_node_rows, batch_format="pandas")
 
 
-def canonical_map(nodes: Dataset) -> dict[str, tuple[str, str]]:
-    """node_key(ent_type|surface) → (entity_id, canonical). Driver-side dict
-    intended for ``ray.put`` broadcast; vocabulary-sized by construction."""
-    mapping: dict[str, tuple[str, str]] = {}
-    for batch in nodes.iter_batches(batch_format="pyarrow"):
-        for eid, canon, etype, surfs in zip(
-            batch["entity_id"].to_pylist(),
-            batch["canonical"].to_pylist(),
-            batch["ent_type"].to_pylist(),
-            batch["surfaces"].to_pylist(),
-        ):
-            for s in surfs:
-                mapping[node_key(etype, s)] = (eid, canon)
-    return mapping
-
-
-def resolve_triples(triples: Dataset, mapping: dict[str, tuple[str, str]]) -> Dataset:
-    """J5: broadcast canonical map, map-side lookup (stateless tasks).
-
-    The map lives in the object store once (``ray.put``); each task fetches
-    it zero-copy from the local store — never reshipped per batch.
-    Unresolvable surfaces keep a synthetic ``ent_type:surface`` id, so no
-    triple is dropped silently.
-    """
-    map_ref = ray.put(mapping)
-
-    def resolve(batch: pa.Table) -> pa.Table:
-        m: dict[str, tuple[str, str]] = ray.get(map_ref)
-        src_ids = [
-            resolve_entity_id(m, st, s)
-            for s, st in zip(
-                batch["subj"].to_pylist(), batch["subj_type"].to_pylist()
-            )
-        ]
-        dst_ids = [
-            resolve_entity_id(m, ot, o)
-            for o, ot in zip(
-                batch["obj"].to_pylist(), batch["obj_type"].to_pylist()
-            )
-        ]
-        batch = batch.append_column("src_id", pa.array(src_ids, pa.string()))
-        return batch.append_column("dst_id", pa.array(dst_ids, pa.string()))
-
-    return triples.map_batches(resolve, batch_format="pyarrow")
-
-
-def _edge_partials(batch: pa.Table) -> pa.Table:
-    """Map-side combiner: per-batch (src,dst,pred) partial weight+provenance.
-
-    O5's (conv_id, turn_idx) dedup is EXACT here: a duplicate triple from
-    the same turn lives in the same row/batch by construction, so
-    within-batch dedup removes it and cross-batch merging just sums.
-    """
-    agg: dict[tuple[str, str, str], dict] = {}
-    for s, d, p, c, t in zip(
-        batch["src_id"].to_pylist(),
-        batch["dst_id"].to_pylist(),
-        batch["pred"].to_pylist(),
-        batch["conv_id"].to_pylist(),
-        batch["turn_idx"].to_pylist(),
-    ):
-        key = (s, d, p)
-        e = agg.setdefault(key, {"seen": set()})
-        e["seen"].add((c, t))
-    srcs, dsts, preds, ws, provs = [], [], [], [], []
-    for (s, d, p), e in agg.items():
-        srcs.append(s)
-        dsts.append(d)
-        preds.append(p)
-        ws.append(len(e["seen"]))
-        # smallest-(conv,turn) sample → batching-invariant deterministic cap
-        provs.append(
-            [
-                {"conv_id": c, "turn_idx": int(t)}
-                for c, t in sorted(e["seen"])[:PROVENANCE_CAP]
-            ]
-        )
-    from ..schemas import PROVENANCE_STRUCT
-
+def canonical_map(nodes: Dataset) -> pa.Table:
+    """(key, entity_id): one row per surface of every node, ``key`` being
+    its ``linker.node_keys``. Vocabulary-sized by construction — built on
+    the driver and broadcast once by ``aggregate_edges``."""
+    keys, ids = [], []
+    for t in nodes.iter_batches(batch_size=None, batch_format="pyarrow"):
+        surfaces = t["surfaces"].combine_chunks()
+        parent = pc.list_parent_indices(surfaces)
+        keys.append(node_keys(t["ent_type"].take(parent), pc.list_flatten(surfaces)))
+        ids.append(t["entity_id"].take(parent))
     return pa.table(
         {
-            "src_id": pa.array(srcs, pa.string()),
-            "dst_id": pa.array(dsts, pa.string()),
-            "pred": pa.array(preds, pa.string()),
-            "weight": pa.array(ws, pa.int64()),
-            "provenance": pa.array(provs, pa.list_(PROVENANCE_STRUCT)),
+            "key": pa.chunked_array(keys, pa.string()).combine_chunks(),
+            "entity_id": pa.chunked_array(ids, pa.string()).combine_chunks(),
         }
     )
 
 
-def _merge_edge_partials(group: pd.DataFrame) -> pd.DataFrame:
-    prov: list[dict] = []
-    for p in group["provenance"]:
-        prov.extend(p)
-    prov = sorted(
-        ({"conv_id": x["conv_id"], "turn_idx": int(x["turn_idx"])} for x in prov),
-        key=lambda x: (x["conv_id"], x["turn_idx"]),
-    )[:PROVENANCE_CAP]
-    return pd.DataFrame(
+def entity_ids(types, surfaces, cmap: pa.Table):
+    """Resolve (ent_type, surface) columns to entity ids through a
+    ``canonical_map``; unclaimed surfaces get ``entity_id_of`` ids."""
+    idx = pc.index_in(node_keys(types, surfaces), value_set=cmap["key"].combine_chunks())
+    return pc.coalesce(cmap["entity_id"].take(idx), entity_id_of(types, surfaces))
+
+
+_EDGE_KEY = ["src_id", "dst_id", "pred"]
+_INSTANCE = _EDGE_KEY + ["conv_id", "turn_idx"]
+
+
+def edge_instances(triples: pa.Table, cmap: pa.Table) -> pa.Table:
+    """TRIPLES-named columns (subj, subj_type, pred, obj, obj_type,
+    conv_id, turn_idx) → resolved (src_id, dst_id, pred, conv_id,
+    turn_idx) rows, the input of ``edge_partials``."""
+    return pa.table(
         {
-            "src_id": [group["src_id"].iloc[0]],
-            "dst_id": [group["dst_id"].iloc[0]],
-            "pred": [group["pred"].iloc[0]],
-            "weight": [int(group["weight"].sum())],
-            "provenance": [prov],
+            "src_id": entity_ids(triples["subj_type"], triples["subj"], cmap),
+            "dst_id": entity_ids(triples["obj_type"], triples["obj"], cmap),
+            "pred": triples["pred"],
+            "conv_id": triples["conv_id"],
+            "turn_idx": triples["turn_idx"],
         }
     )
 
 
-def tagged_to_edges(tagged: Dataset, mapping: dict[str, tuple[str, str]]) -> Dataset:
-    """Fused M11+J5+O5/A7 map side: tagged turns → edge partials in ONE pass
-    (extract triples, resolve against the broadcast canonical map, and
-    partial-aggregate per batch), then the single (src,dst,pred) merge
-    shuffle. Equivalent to triples_of → resolve_triples → aggregate_edges
-    with two fewer corpus passes."""
-    from .triples import extract_triples_row
-
-    map_ref = ray.put(mapping)
-
-    def fused(batch: pa.Table) -> pa.Table:
-        m: dict[str, tuple[str, str]] = ray.get(map_ref)
-        agg: dict[tuple[str, str, str], set] = {}
-        for cid, ti, text, ms in zip(
-            batch["conv_id"].to_pylist(),
-            batch["turn_idx"].to_pylist(),
-            batch["text"].to_pylist(),
-            batch["mentions"].to_pylist(),
-        ):
-            for s, p, o, st, ot in extract_triples_row(text, ms):
-                src = resolve_entity_id(m, st, s)
-                dst = resolve_entity_id(m, ot, o)
-                agg.setdefault((src, dst, p), set()).add((cid, ti))
-        srcs, dsts, preds, ws, provs = [], [], [], [], []
-        for (s, d, p), seen in agg.items():
-            srcs.append(s)
-            dsts.append(d)
-            preds.append(p)
-            ws.append(len(seen))
-            provs.append(
-                [
-                    {"conv_id": c, "turn_idx": int(t)}
-                    for c, t in sorted(seen)[:PROVENANCE_CAP]
-                ]
-            )
-        from ..schemas import PROVENANCE_STRUCT
-
-        return pa.table(
-            {
-                "src_id": pa.array(srcs, pa.string()),
-                "dst_id": pa.array(dsts, pa.string()),
-                "pred": pa.array(preds, pa.string()),
-                "weight": pa.array(ws, pa.int64()),
-                "provenance": pa.array(provs, pa.list_(PROVENANCE_STRUCT)),
-            }
-        )
-
-    partials = tagged.select_columns(
-        ["conv_id", "turn_idx", "text", "mentions"]
-    ).map_batches(fused, batch_format="pyarrow")
-    return partials.groupby(["src_id", "dst_id", "pred"]).map_groups(
-        _merge_edge_partials, batch_format="pandas"
+def _edges(turns: pa.Table) -> pa.Table:
+    """(src_id, dst_id, pred, conv_id, turn_idx, w) rows → EDGES sorted by
+    (src, dst, pred): weight = Σw per edge, provenance = the edge's
+    smallest PROVENANCE_CAP (conv_id, turn_idx), cut by each row's rank in
+    its run of equal edge keys after one sort."""
+    t = turns.sort_by([(c, "ascending") for c in _INSTANCE]).combine_chunks()
+    n = t.num_rows
+    head = np.zeros(n, dtype=bool)
+    head[0] = True
+    for k in _EDGE_KEY:
+        col = t[k].chunk(0)
+        head[1:] |= pc.not_equal(col[1:], col[:-1]).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(head)
+    sizes = np.diff(np.append(starts, n))
+    rank = np.arange(n) - np.repeat(starts, sizes)
+    kept = t.filter(pa.array(rank < PROVENANCE_CAP)).combine_chunks()
+    offsets = np.concatenate([[0], np.cumsum(np.minimum(sizes, PROVENANCE_CAP))])
+    prov = pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()),
+        pa.StructArray.from_arrays(
+            [kept["conv_id"].chunk(0), pc.cast(kept["turn_idx"].chunk(0), pa.int32())],
+            fields=list(PROVENANCE_STRUCT),
+        ),
+    )
+    weight = np.add.reduceat(t["w"].to_numpy(), starts)
+    return pa.Table.from_arrays(
+        [t[k].take(starts) for k in _EDGE_KEY] + [pa.array(weight, pa.int64()), prov],
+        schema=EDGES,
     )
 
 
-def aggregate_edges(resolved: Dataset) -> Dataset:
-    """Resolved triples → EDGES (O5 + A7).
+def edge_partials(instances: pa.Table) -> pa.Table:
+    """Resolved instances → EDGES. Exact for the turns it sees: duplicate
+    (src, dst, pred, conv, turn) rows count once."""
+    if instances.num_rows == 0 or instances.num_columns == 0:
+        return EDGES.empty_table()
+    turns = instances.select(_INSTANCE).group_by(_INSTANCE).aggregate([])
+    return _edges(turns.append_column("w", pa.array(np.ones(turns.num_rows, np.int64))))
 
-    Map-side partial aggregation first (one row per (src,dst,pred) per
-    batch), so the single shuffle on (src_id, dst_id, pred) moves
-    edge-count-sized partials, not raw triples."""
-    slim = resolved.select_columns(
-        ["src_id", "dst_id", "pred", "conv_id", "turn_idx"]
+
+def merge_edges(partials: pa.Table) -> pa.Table:
+    """Associative merge of EDGES partials over disjoint (conv, turn) sets:
+    weights sum, provenance keeps the smallest PROVENANCE_CAP — exact,
+    because each of the global smallest CAP is among its own partial's
+    smallest CAP. Zero-row and schema-less blocks (the sort-based groupby
+    hands these to ``tree_combine``) merge to the typed empty table."""
+    if partials.num_rows == 0 or partials.num_columns == 0:
+        return EDGES.empty_table()
+    prov = partials["provenance"].combine_chunks()
+    parent = pc.list_parent_indices(prov)
+    conv, turn = pc.list_flatten(prov).flatten()
+    # a partial's weight rides on its first provenance entry (weight ≥ 1
+    # implies a non-empty provenance), so Σw per edge sums the partials
+    lens = pc.list_value_length(prov).fill_null(0).to_numpy()
+    w = np.zeros(len(conv), np.int64)
+    w[(np.cumsum(lens) - lens)[lens > 0]] = partials["weight"].to_numpy()[lens > 0]
+    turns = pa.table(
+        {k: partials[k].take(parent) for k in _EDGE_KEY}
+        | {"conv_id": conv, "turn_idx": turn, "w": w}
     )
-    partials = slim.map_batches(_edge_partials, batch_format="pyarrow")
-    return partials.groupby(["src_id", "dst_id", "pred"]).map_groups(
-        _merge_edge_partials, batch_format="pandas"
+    return _edges(turns)
+
+
+def aggregate_edges(triples: Dataset, cmap: pa.Table) -> Dataset:
+    """TRIPLES-named rows → EDGES: broadcast ``cmap`` once, resolve and
+    bucket by conv hash map-side, ``edge_partials`` per bucket, then
+    ``tree_combine(merge_edges)``. Exact under any block layout: all
+    duplicates of a (src, dst, pred, conv, turn) row share their bucket."""
+    cmap_ref = ray.put(cmap)
+
+    def resolve(t: pa.Table) -> pa.Table:
+        inst = edge_instances(t, ray.get(cmap_ref))
+        buckets = hash_buckets(inst["conv_id"], EDGE_BUCKETS)
+        return inst.append_column("bucket", pa.array(buckets))
+
+    resolved = triples.map_batches(resolve, batch_format="pyarrow")
+    partials = resolved.groupby("bucket").map_groups(
+        edge_partials, batch_format="pyarrow"
     )
+    return tree_combine(partials, merge_edges)
 
 
 def add_bucket(ds: Dataset, key: str, num_buckets: int) -> Dataset:
     """Append ``bucket = hash(key) % B`` (the partition / resume unit) —
     vectorized siphash, no per-row Python loop on this corpus-sized path."""
-    from ..runtime.hashing import hash_buckets
 
     def _bucketize(t: pa.Table) -> pa.Table:
         vals = hash_buckets(t[key], num_buckets)

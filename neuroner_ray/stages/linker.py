@@ -32,6 +32,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
@@ -127,8 +128,14 @@ def link_match(norm_a: str, norm_b: str) -> bool:
     return link_match_pre(precompute_surface(norm_a), precompute_surface(norm_b))
 
 
+def node_keys(ent_type, surface):
+    """``{type}|{surface}`` node keys, column-wise over Arrow string arrays
+    (the one place the format is written)."""
+    return pc.binary_join_element_wise(ent_type, surface, "|")
+
+
 def node_key(ent_type: str, surface: str) -> str:
-    return f"{ent_type}|{surface}"
+    return node_keys(ent_type, surface).as_py()
 
 
 def surface_census(mentions: Dataset) -> Dataset:
@@ -203,20 +210,21 @@ def census_from_tagged(tagged: Dataset) -> Dataset:
 def _block_keys_batch(batch: pa.Table) -> pa.Table:
     """Explode each distinct surface into its blocking keys."""
     rows = []
-    for ent_type, surface in zip(
-        batch["ent_type"].to_pylist(), batch["surface"].to_pylist()
+    for ent_type, surface, nk in zip(
+        batch["ent_type"].to_pylist(),
+        batch["surface"].to_pylist(),
+        node_keys(batch["ent_type"], batch["surface"]).to_pylist(),
     ):
         norm = normalize_surface(surface)
         if norm:
-            rows.append((ent_type, surface, norm))
+            rows.append((ent_type, nk, norm))
     sigs = minhash_signatures_batch(
         [char_shingles(norm) for _, _, norm in rows], num_perm=NUM_PERM
     )
     out_block: list[str] = []
     out_node: list[str] = []
     out_norm: list[str] = []
-    for (ent_type, surface, norm), sig in zip(rows, sigs):
-        nk = node_key(ent_type, surface)
+    for (ent_type, nk, norm), sig in zip(rows, sigs):
         keys = band_keys(sig, BANDS, prefix=f"{ent_type}:")
         keys += [f"{ent_type}:w:{w[0]}" for w in set(norm.split(" "))]
         for k in set(keys):
