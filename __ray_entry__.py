@@ -21,14 +21,14 @@ from neuroner_ray.functions.tokenize import TOKEN_PATTERN
 from neuroner_ray.pipelines import queries as q
 from neuroner_ray.pipelines import curate
 from neuroner_ray.pipelines import kg
+from neuroner_ray.pipelines.kg_streamed import run_pipeline_streamed
 from neuroner_ray.sources.synth_transcripts import transcripts_dir_for
 
 
 def entry() -> Any:
     """Flagship KG pipeline on the sf0.001-scale transcripts corpus."""
     tdir = transcripts_dir_for("/root/testdata/sf0.001")
-    tables = kg.run_pipeline(tdir)
-    return tables["edges"]
+    return run_pipeline_streamed(tdir)["edges"]
 
 
 # ---------------------------------------------------------------- KG queries
@@ -36,15 +36,19 @@ _KG_CACHE: dict[str, dict] = {}
 
 
 def _kg_tables(sf_dir: str) -> dict:
-    """One pipeline run shared by every kg_* query in this session (the
-    pipeline is deterministic, so memoizing only saves repeated work)."""
+    """One graph build and one tagging pass, shared by every kg_* query in
+    this session (both are deterministic, so memoizing only saves repeated
+    work): nodes and edges from the engine, the per-turn mentions and
+    triples from the tagged turns."""
     if sf_dir not in _KG_CACHE:
-        tables = kg.run_pipeline(transcripts_dir_for(sf_dir))
+        tdir = transcripts_dir_for(sf_dir)
+        graph = run_pipeline_streamed(tdir)
+        tagged = kg.tag_turns(kg.read_transcripts(tdir)).materialize()
         _KG_CACHE[sf_dir] = {
-            "mentions": tables["mentions"].materialize(),
-            "triples": tables["triples"].materialize(),
-            "nodes": tables["nodes"],
-            "edges": tables["edges"].materialize(),
+            "mentions": kg.mentions_of(tagged).materialize(),
+            "triples": kg.triples_of(tagged).materialize(),
+            "nodes": graph["nodes"],
+            "edges": graph["edges"].materialize(),
         }
     return _KG_CACHE[sf_dir]
 

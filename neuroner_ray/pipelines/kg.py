@@ -1,16 +1,16 @@
-"""End-to-end KG-construction pipeline (EP2 recast; SURVEY.md §3 target).
+"""KG-construction building blocks shared by every KG entry point.
 
-transcripts → M1 tokenize → tagger actor pool (T2/T3 or RuleTagger) →
-M3 mentions → M11 triples → J4 linking (band shuffle) → A6 union-find →
-J5 resolve → O5/A7 edges → S9 partitioned Parquet.
+The engine is ``kg_streamed.run_pipeline_streamed``: one Ray-Data pass
+from transcripts to nodes and edges. This module holds what it and the
+per-turn table consumers share:
 
-Every step is a lazy Dataset transform. Materializations: the
-vocabulary-sized label/census tables (linking), plus ONE corpus-sized
-checkpoint of the tagged turns so mentions and triples share a single
-tagging pass (tagging is the expensive stage; the object store spills as
-needed). At full 100 TB scale the same pipeline runs through
-``manifests.run_bucketed``, which streams bucket-by-bucket and checkpoints
-to Parquet instead.
+- ``read_transcripts``, ``tag_turns`` (fused tokenize+tag), and the
+  per-turn tables ``mentions_of`` (M3) and ``triples_of`` (M11) that the
+  resumable bucket runs (``manifests.run_bucketed``) persist;
+- linking off a surface census (J4 blocking → A6 union-find → nodes),
+  driver-side below ``SMALL_VOCAB_MAX`` distinct surfaces;
+- ``run_incremental``: conversation-disjoint arrivals through the bucket
+  machinery, re-finalized globally after each arrival.
 """
 
 from __future__ import annotations
@@ -23,13 +23,8 @@ import ray.data as rd
 from ray.data import Dataset
 
 from ..stages.canonicalize import connected_components
-from ..stages.graph import (
-    aggregate_edges,
-    build_nodes,
-    canonical_map,
-    materialize_graph,
-)
-from ..stages.linker import candidate_pairs, node_keys, surface_census
+from ..stages.graph import build_nodes
+from ..stages.linker import candidate_pairs, node_keys
 from ..stages.tagger import RuleTagger, explode_mentions
 from ..stages.triples import extract_triples_batch
 from ..sources.parquet import read_parquet_clean
@@ -88,18 +83,6 @@ def mentions_of(tagged: Dataset) -> Dataset:
 
 def triples_of(tagged: Dataset) -> Dataset:
     return tagged.map_batches(extract_triples_batch, batch_format="pyarrow")
-
-
-def link_and_canonicalize_tagged(tagged: Dataset) -> tuple[Dataset, Dataset]:
-    """J4 + A6 off tagged turns directly (fused census — one corpus pass)."""
-    from ..stages.linker import census_from_tagged
-
-    return _link_from_census(census_from_tagged(tagged).materialize())
-
-
-def link_and_canonicalize(mentions: Dataset) -> tuple[Dataset, Dataset]:
-    """J4 + A6: mentions → (nodes Dataset, labels Dataset)."""
-    return _link_from_census(surface_census(mentions).materialize())
 
 
 SMALL_VOCAB_MAX = 100_000  # distinct surfaces under which linking runs driver-side
@@ -177,39 +160,6 @@ def _link_from_census(census: Dataset) -> tuple[Dataset, Dataset]:
     labels = connected_components(pairs, node_ids)
     nodes = build_nodes(labels, census)
     return nodes, labels
-
-
-def run_pipeline(
-    transcripts_path: str,
-    out_dir: str | None = None,
-    tagger: Any = RuleTagger,
-    tagger_args: tuple = (),
-    concurrency: Any = (1, 8),
-    num_gpus: float = 0,
-) -> dict[str, Dataset]:
-    """Full pipeline; returns the logical tables (lazy where possible).
-    ``num_gpus`` flows to the tagger actor pool (GPU-cluster seam)."""
-    transcripts = read_transcripts(transcripts_path)
-    # One tagging pass: materialize the tagged turns (tokens dropped — only
-    # labels+mentions flow downstream) so mentions AND triples derive from a
-    # single execution instead of re-running tokenize+tag per consumer.
-    tagged = tag_turns(
-        transcripts, tagger=tagger, tagger_args=tagger_args,
-        concurrency=concurrency, num_gpus=num_gpus,
-    ).materialize()
-    nodes = link_and_canonicalize_tagged(tagged)[0].materialize()
-    edges = aggregate_edges(triples_of(tagged), canonical_map(nodes))
-    out = {
-        # mentions/triples stay lazy derivations of the materialized tagged
-        # checkpoint — cheap map passes for any consumer that wants them
-        "mentions": mentions_of(tagged),
-        "triples": triples_of(tagged),
-        "nodes": nodes,
-        "edges": edges,
-    }
-    if out_dir is not None:
-        materialize_graph(nodes, edges, out_dir)
-    return out
 
 
 # ------------------------------------------------------- incremental ingest

@@ -1,34 +1,35 @@
-"""Single-pass streamed KG pipeline — the 100 TB execution shape.
+"""The KG engine: one Ray-Data pass from transcripts to nodes and edges.
 
-``kg.run_pipeline`` materializes the tagged corpus once so several
-consumers can share it; at full scale even one corpus-sized materialization
-is a cost. This variant streams the corpus through ONE fused stage that
-emits only fixed-width *partials* — census counts plus one slim row per
-distinct (surface-triple, conv_id, turn_idx) instance (within-batch
-dedup; globally distinct because each turn lives in exactly one batch).
-No unbounded list payloads, and the corpus is never pinned in the object
-store. The fused stage is column-wise end to end: the tagger's flat
-``Tagged`` result (tokens, label codes, mention spans) feeds Arrow
-group-bys for the census and the distinct instances — no per-row Python
-between the tagger kernels and the partials:
+One fused stage streams the corpus and emits only fixed-width *partials*:
+census counts plus one slim row per distinct (surface-triple, conv_id,
+turn_idx) instance (within-batch dedup; globally distinct because each
+turn lives in exactly one batch). No unbounded list payloads, and the
+corpus is never pinned in the object store. The fused stage is
+column-wise end to end: the tagger's flat ``Tagged`` result (tokens,
+label codes, mention spans) feeds Arrow group-bys for the census
+(``census_batch``) and the distinct instances — no per-row Python between
+the tagger kernels and the partials:
 
     read → [tag → census partials + triple instances]        (1 pass)
          → small input: stream partials to the driver; census group-by,
            linking and ``graph.edge_partials`` over the one resolved table
          → large input: stream partials to a disk stage (write_parquet,
            files of ``STAGE_ROWS_PER_FILE`` rows, read back one block per
-           file), then census groupby → linking → ``graph.aggregate_edges``
-           (broadcast resolve → conv-hash bucket groupby → edge_partials
-           → tree_combine(merge_edges)) → partitioned write
+           file), then ``finalize_distributed``: census Sum groupby →
+           linking → ``graph.aggregate_edges`` (broadcast resolve →
+           conv-hash bucket groupby → edge_partials →
+           tree_combine(merge_edges)) → partitioned write
 
-Both regimes run the one O5/A7 kernel of ``stages/graph.py``, and the
-finalize shuffles move fixed-width rows only. O5's distinct-turn weights
-stay exact because surface variants of one canonical triple in the same
-turn resolve to identical instance rows, which ``edge_partials`` counts
-once. Equivalence with the classic pipeline is pinned
-by tests/test_streamed_pipeline.py (identical nodes and edges); the
-column-wise glue is pinned against the per-row reference functions by
-tests/test_columnar_tagging.py.
+``finalize_distributed`` is also the global finalize of the resumable
+bucket runs (``manifests.finalize_graph``), fed from the persisted
+per-turn mentions and triples. Every regime runs the one O5/A7 kernel of
+``stages/graph.py``, and the finalize shuffles move fixed-width rows
+only. O5's distinct-turn weights stay exact because surface variants of
+one canonical triple in the same turn resolve to identical instance
+rows, which ``edge_partials`` counts once. The graph is pinned to frozen
+goldens by tests/test_streamed_pipeline.py (both taggers, both finalize
+regimes); the column-wise glue is pinned against the per-row reference
+functions by tests/test_columnar_tagging.py.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from ..stages.graph import (
     edge_instances,
     edge_partials,
     materialize_graph,
+    pin_empty_tables,
 )
 from ..stages.tagger import RuleTagger, Tagged
 from ..stages.triples import triples_flat
@@ -78,7 +80,23 @@ _PARTIAL_SCHEMA = pa.schema(
     ]
 )
 
+_CENSUS_COLS = ["ent_type", "surface", "n"]
 _INSTANCE_COLS = ["subj", "subj_type", "pred", "obj", "obj_type", "conv_id", "turn_idx"]
+
+
+def census_batch(mentions: pa.Table) -> pa.Table:
+    """One batch's mention census: (ent_type, surface, n) per distinct
+    pair, the partial that ``finalize_distributed`` sums. Zero-row and
+    schema-less blocks give the typed empty table."""
+    if mentions.num_rows == 0:
+        return _PARTIAL_SCHEMA.empty_table().select(_CENSUS_COLS)
+    return (
+        mentions.select(["ent_type", "surface"])
+        .group_by(["ent_type", "surface"])
+        .aggregate([([], "count_all")])
+        .select(["ent_type", "surface", "count_all"])
+        .rename_columns(_CENSUS_COLS)
+    )
 
 
 def _partials(batch: pa.Table, tagged: Tagged) -> pa.Table:
@@ -86,10 +104,8 @@ def _partials(batch: pa.Table, tagged: Tagged) -> pa.Table:
     (ent_type, surface), then the distinct triple instances. Built with
     Arrow group-bys over the flat mentions and triples; every column is a
     fresh compact array (no views into the batch's text buffers)."""
-    census = (
+    census = census_batch(
         pa.table({"ent_type": tagged.mention_type, "surface": tagged.surface})
-        .group_by(["ent_type", "surface"])
-        .aggregate([([], "count_all")])
     )
     s, o, pred = triples_flat(tagged)
     rows = tagged.mention_rows[s]
@@ -116,13 +132,7 @@ def _partials(batch: pa.Table, tagged: Tagged) -> pa.Table:
 
     return pa.concat_tables(
         [
-            _union_rows(
-                "c",
-                census.num_rows,
-                ent_type=census["ent_type"],
-                surface=census["surface"],
-                n=census["count_all"],
-            ),
+            _union_rows("c", census.num_rows, **{c: census[c] for c in _CENSUS_COLS}),
             _union_rows(
                 "e", instances.num_rows, **{c: instances[c] for c in _INSTANCE_COLS}
             ),
@@ -217,7 +227,12 @@ def _write_graph_small(
     from ..runtime.hashing import hash_buckets
 
     for name, ds, key in (("nodes", nodes, "entity_id"), ("edges", edges, "src_id")):
-        tab = pa.concat_tables(list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
+        batches = [
+            b for b in ds.iter_batches(batch_size=None, batch_format="pyarrow") if b.num_rows
+        ]
+        if not batches:  # pin_empty_tables writes the typed empty
+            continue
+        tab = pa.concat_tables(batches)
         # same siphash as stages.graph.add_bucket, so the driver-side and
         # distributed writers produce identical bucket layouts
         buckets = pa.array(
@@ -229,6 +244,7 @@ def _write_graph_small(
             d = os.path.join(out_dir, name, f"bucket={b}")
             os.makedirs(d, exist_ok=True)
             pq.write_table(sub.drop_columns(["bucket"]), os.path.join(d, "part-0.parquet"))
+    pin_empty_tables(out_dir)
 
 
 def run_pipeline_streamed(
@@ -285,30 +301,35 @@ def run_pipeline_streamed(
         )
         stage_files = 1
 
-    census = (
-        read_parquet_clean(
-            stage_dir,
-            columns=["kind", "ent_type", "surface", "n"],
-            override_num_blocks=stage_files,
+    def stage_rows(kind: str, cols: list[str]) -> Dataset:
+        return (
+            read_parquet_clean(
+                stage_dir, columns=["kind"] + cols, override_num_blocks=stage_files
+            )
+            .filter(expr=f"kind == '{kind}'")
+            .select_columns(cols)
         )
-        .filter(expr="kind == 'c'")
-        .select_columns(["ent_type", "surface", "n"])
-        .groupby(["ent_type", "surface"])
-        .aggregate(Sum("n", alias_name="mention_count"))
-    )
-    nodes, _labels = _link_from_census(census.materialize())
-    nodes = nodes.materialize()
 
-    # exact O5/A7 over conv-hash buckets (stages.graph.aggregate_edges);
-    # graph.canonical_map is looked up at call time so tracers can wrap it
-    instances = (
-        read_parquet_clean(
-            stage_dir, columns=["kind"] + _INSTANCE_COLS, override_num_blocks=stage_files
-        )
-        .filter(expr="kind == 'e'")
-        .select_columns(_INSTANCE_COLS)
+    return finalize_distributed(
+        stage_rows("c", _CENSUS_COLS), stage_rows("e", _INSTANCE_COLS), out_dir
     )
-    edges = aggregate_edges(instances, graph.canonical_map(nodes))
+
+
+def finalize_distributed(
+    census: Dataset, triples: Dataset, out_dir: str | None
+) -> dict[str, Dataset]:
+    """Distributed finalize: (ent_type, surface, n) census rows → one Sum
+    groupby → linking → nodes; TRIPLES-named rows → exact O5/A7 over
+    conv-hash buckets (``graph.aggregate_edges``) → edges; then the
+    partitioned write into ``out_dir``. ``graph.canonical_map`` and
+    ``materialize_graph`` are looked up at call time so tracers can wrap
+    them."""
+    counts = census.groupby(["ent_type", "surface"]).aggregate(
+        Sum("n", alias_name="mention_count")
+    )
+    nodes, _labels = _link_from_census(counts.materialize())
+    nodes = nodes.materialize()
+    edges = aggregate_edges(triples, graph.canonical_map(nodes))
     out = {"nodes": nodes, "edges": edges}
     if out_dir is not None:
         materialize_graph(nodes, edges, out_dir)

@@ -240,13 +240,14 @@ def finalize_graph(out_dir: str, config: dict) -> dict:
     bucket yields duplicate entity ids and bucket-dependent canonical
     representatives (different buckets can elect different reps for one
     cluster). So buckets persist only per-turn tables (mentions, triples);
-    this step reads them all, links globally, resolves and aggregates
-    edges, and writes ``<out>/nodes`` + ``<out>/edges``. It records its own
-    manifest (config hash + completed-bucket set) and is skipped when
-    nothing changed.
+    this step counts the mentions per batch (``kg_streamed.census_batch``)
+    and hands that census and the triples to the engine's distributed
+    finalize (``kg_streamed.finalize_distributed``: global linking, resolve,
+    edge aggregation, partitioned write of ``<out>/nodes`` +
+    ``<out>/edges``). It records its own manifest (config hash +
+    completed-bucket set) and is skipped when nothing changed.
     """
-    from ..pipelines import kg
-    from ..stages.graph import aggregate_edges, canonical_map, materialize_graph
+    from . import kg_streamed as ks
 
     cfg_hash = config_hash(config)
     done = sorted(completed_buckets(out_dir, cfg_hash), key=str)
@@ -260,10 +261,10 @@ def finalize_graph(out_dir: str, config: dict) -> dict:
         except (OSError, json.JSONDecodeError):
             pass
     t0 = time.time()
-    mentions = read_output(out_dir, "mentions", tags=done)
-    nodes = kg.link_and_canonicalize(mentions)[0].materialize()
+    census = read_output(out_dir, "mentions", tags=done).map_batches(
+        ks.census_batch, batch_format="pyarrow"
+    )
     triples = read_output(out_dir, "triples", tags=done)
-    edges = aggregate_edges(triples, canonical_map(nodes))
     # finalize outputs get the same tmp+rename atomicity as bucket outputs:
     # materialize_graph APPENDS uniquely-named files, so writing straight
     # into <out>/nodes|edges would mix files from multiple executions
@@ -276,7 +277,7 @@ def finalize_graph(out_dir: str, config: dict) -> dict:
     # rename without changing the <out>/nodes|edges layout readers rely on)
     tmp_root = os.path.join(out_dir, f".tmp-finalize-{os.getpid()}")
     shutil.rmtree(tmp_root, ignore_errors=True)
-    materialize_graph(nodes, edges, tmp_root)
+    nodes = ks.finalize_distributed(census, triples, tmp_root)["nodes"]
     for table in ("nodes", "edges"):
         final = os.path.join(out_dir, table)
         shutil.rmtree(final, ignore_errors=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 
 def hash_buckets(values, num_buckets: int, key: str = "") -> np.ndarray:
@@ -29,8 +30,8 @@ def hash_raw(values, key: str = "") -> np.ndarray:
     modulus (e.g. the neighbor-Jaccard hub chunker, where each row's
     chunk count depends on its center's degree, so a fixed
     ``num_buckets`` cannot be baked in)."""
-    if hasattr(values, "to_pylist"):  # pa.Array / pa.ChunkedArray
-        values = values.to_pylist()
+    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        values = values.to_numpy(zero_copy_only=False)  # object array, nulls → None
     arr = np.asarray(values, dtype=object)
     kwargs = {}
     if key:

@@ -21,17 +21,20 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 from ray.data import Dataset
 
 from ..runtime.combine import tree_combine
 from ..runtime.hashing import hash_buckets
-from ..schemas import EDGES, PROVENANCE_STRUCT
+from ..schemas import EDGES, NODES, PROVENANCE_STRUCT
 from .linker import node_keys
 
 PROVENANCE_CAP = 5
@@ -76,9 +79,10 @@ def build_nodes(
     """(node,label) × (ent_type,surface,mention_count) → canonical NODES.
 
     Both inputs are vocabulary-sized. Size-adaptive join: below
-    ``broadcast_max_rows`` the label map is broadcast (``ray.put`` once,
-    dict lookup per batch — no shuffle); above it, the native hash join.
-    Then one groupby(label) builds each cluster's node row.
+    ``broadcast_max_rows`` the (node, label) table is broadcast
+    (``ray.put`` once, ``index_in`` lookup per batch — no shuffle); above
+    it, the native hash join. Then one groupby(label) builds each
+    cluster's node row.
     """
     labels = labels.materialize()
 
@@ -87,21 +91,27 @@ def build_nodes(
 
     keyed = surfaces.map_batches(_with_node, batch_format="pyarrow")
     if labels.count() <= broadcast_max_rows:
-        label_map: dict[str, str] = {}
-        for b in labels.iter_batches(batch_format="pyarrow"):
-            label_map.update(zip(b["node"].to_pylist(), b["label"].to_pylist()))
-        ref = ray.put(label_map)
+        label_tab = pa.concat_tables(
+            [
+                b.select(["node", "label"])
+                for b in labels.iter_batches(batch_size=None, batch_format="pyarrow")
+                if b.num_rows
+            ]
+        ).combine_chunks()
+        ref = ray.put(label_tab)
 
         def _attach(t: pa.Table) -> pa.Table:
-            lm = ray.get(ref)
-            labs = [lm.get(n, n) for n in t["node"].to_pylist()]
-            return t.append_column("label", pa.array(labs, pa.string()))
+            lt = ray.get(ref)
+            idx = pc.index_in(t["node"], value_set=lt["node"].chunk(0))
+            return t.append_column(
+                "label", pc.coalesce(lt["label"].take(idx), t["node"])
+            )
 
         joined = keyed.map_batches(_attach, batch_format="pyarrow")
     else:
         # LEFT outer + coalesce(label, node): the broadcast path keeps
-        # label-table misses as self-labeled singletons (lm.get(n, n)); an
-        # inner join would silently DROP those census rows, making the two
+        # label-table misses as self-labeled singletons; an inner join
+        # would silently DROP those census rows, making the two
         # size-adaptive paths disagree on incomplete label tables
         from ..runtime.partitions import join_partitions
 
@@ -274,7 +284,18 @@ def materialize_graph(
     add_bucket(edges, "src_id", num_buckets).write_parquet(
         paths["edges"], partition_cols=["bucket"]
     )
+    pin_empty_tables(out_dir)
     return paths
+
+
+def pin_empty_tables(out_dir: str) -> None:
+    """Ray writes no file for an empty Dataset: give a graph table that got
+    none a typed empty file, so it reads back with its schema."""
+    for name, schema in (("nodes", NODES), ("edges", EDGES)):
+        d = os.path.join(out_dir, name)
+        if not any(f.endswith(".parquet") for _, _, fs in os.walk(d) for f in fs):
+            os.makedirs(d, exist_ok=True)
+            pq.write_table(schema.empty_table(), os.path.join(d, "empty.parquet"))
 
 
 # ------------------------------------------------------------- analytics

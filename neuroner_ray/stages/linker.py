@@ -6,7 +6,8 @@ Semantics (frozen here, exercised by the synthetic gazetteer's variant
 groups):
 
 1. **Census** (pre-aggregation): linking runs over *distinct* ``(ent_type,
-   surface)`` pairs, not raw mentions — a ``groupby().count()`` first, so the
+   surface)`` pairs, not raw mentions — per-batch counts
+   (``kg_streamed.census_batch``) summed by one groupby first, so the
    expensive pairwise work scales with vocabulary, not corpus (ray_guide:
    pre-aggregate before wide ops).
 2. **Blocking**: each distinct surface emits MinHash-LSH band keys over its
@@ -136,75 +137,6 @@ def node_keys(ent_type, surface):
 
 def node_key(ent_type: str, surface: str) -> str:
     return node_keys(ent_type, surface).as_py()
-
-
-def surface_census(mentions: Dataset) -> Dataset:
-    """Distinct ``(ent_type, surface)`` with mention counts (A1-style census).
-
-    Shuffle #1 of the linking path — but pre-aggregated: partial counts per
-    batch (Counter) so the shuffle moves vocabulary-sized partials, never
-    raw mention rows (ray_guide "Aggregation at scale").
-    """
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter(
-            zip(batch["ent_type"].to_pylist(), batch["surface"].to_pylist())
-        )
-        ets, surfs, ns = [], [], []
-        for (et, s), n in c.items():
-            ets.append(et)
-            surfs.append(s)
-            ns.append(n)
-        return pa.table(
-            {
-                "ent_type": pa.array(ets, pa.string()),
-                "surface": pa.array(surfs, pa.string()),
-                "n": pa.array(ns, pa.int64()),
-            }
-        )
-
-    return (
-        mentions.select_columns(["ent_type", "surface"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["ent_type", "surface"])
-        .aggregate(Sum("n", alias_name="mention_count"))
-    )
-
-
-def census_from_tagged(tagged: Dataset) -> Dataset:
-    """Census computed straight off tagged turns' ``mentions`` list column —
-    fused explode+count (the exploded per-mention table never materializes;
-    one pass instead of two over the corpus)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for ms in batch["mentions"].to_pylist():
-            c.update((m["ent_type"], m["surface"]) for m in ms)
-        ets, surfs, ns = [], [], []
-        for (et, s), n in c.items():
-            ets.append(et)
-            surfs.append(s)
-            ns.append(n)
-        return pa.table(
-            {
-                "ent_type": pa.array(ets, pa.string()),
-                "surface": pa.array(surfs, pa.string()),
-                "n": pa.array(ns, pa.int64()),
-            }
-        )
-
-    return (
-        tagged.select_columns(["mentions"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["ent_type", "surface"])
-        .aggregate(Sum("n", alias_name="mention_count"))
-    )
 
 
 def _block_keys_batch(batch: pa.Table) -> pa.Table:

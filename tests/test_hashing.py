@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pyarrow as pa
 
-from neuroner_ray.runtime.hashing import hash_buckets
+from neuroner_ray.runtime.hashing import hash_buckets, hash_raw
 
 
 def test_ranges_types_and_inputs():
@@ -19,6 +19,12 @@ def test_ranges_types_and_inputs():
     # all three input container types agree
     assert (out == hash_buckets(np.asarray(vals, dtype=object), 16)).all()
     assert (out == hash_buckets(pa.array(vals, pa.string()), 16)).all()
+    # a multi-chunk Arrow column with a null and a non-ASCII value hashes
+    # exactly like the same Python values
+    mixed = vals[:500] + [None, "Zoë Müller-Łukasz"] + vals[500:]
+    chunked = pa.chunked_array([mixed[:300], mixed[300:]], pa.string())
+    assert (hash_raw(chunked) == hash_raw(mixed)).all()
+    assert (hash_raw(chunked, key="inc") == hash_raw(mixed, key="inc")).all()
     # spread: 1000 keys over 16 buckets should touch every bucket
     assert len(set(out.tolist())) == 16
 

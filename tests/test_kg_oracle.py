@@ -19,6 +19,7 @@ import pandas as pd
 import pytest
 
 from neuroner_ray.pipelines import kg, kg_oracle
+from neuroner_ray.pipelines.kg_streamed import census_batch, run_pipeline_streamed
 from neuroner_ray.sources.synth_transcripts import ensure_transcripts
 
 SF = 0.001
@@ -27,12 +28,13 @@ SF = 0.001
 @pytest.fixture(scope="module")
 def tables():
     tdir = ensure_transcripts(SF) + "/transcripts"
-    t = kg.run_pipeline(tdir)
+    g = run_pipeline_streamed(tdir)
+    tagged = kg.tag_turns(kg.read_transcripts(tdir)).materialize()
     return tdir, {
-        "kg_mentions": t["mentions"].to_pandas(),
-        "kg_triples": t["triples"].to_pandas(),
-        "kg_nodes": t["nodes"].to_pandas().drop(columns=["surfaces"]),
-        "kg_edges": t["edges"].to_pandas().drop(columns=["provenance"]),
+        "kg_mentions": kg.mentions_of(tagged).to_pandas(),
+        "kg_triples": kg.triples_of(tagged).to_pandas(),
+        "kg_nodes": g["nodes"].to_pandas().drop(columns=["surfaces"]),
+        "kg_edges": g["edges"].to_pandas().drop(columns=["provenance"]),
     }
 
 
@@ -64,18 +66,23 @@ def test_all_pairs_equals_blocked_candidates(tables):
     """The SQL all-pairs match set must equal the blocked candidate pair set
     (so blocking loses no recall on this corpus AND the embedding disjunct
     adds nothing beyond the SQL-expressible disjuncts)."""
+    from ray.data.aggregate import Sum
+
     from neuroner_ray.stages.linker import (
         candidate_pairs,
         link_match,
         node_key,
         normalize_surface,
-        surface_census,
     )
-    from neuroner_ray.pipelines.kg import read_transcripts, mentions_of, tag_turns
 
     tdir, _ = tables
-    mentions = mentions_of(tag_turns(read_transcripts(tdir)))
-    census = surface_census(mentions).materialize()
+    mentions = kg.mentions_of(kg.tag_turns(kg.read_transcripts(tdir)))
+    census = (
+        mentions.map_batches(census_batch, batch_format="pyarrow")
+        .groupby(["ent_type", "surface"])
+        .aggregate(Sum("n", alias_name="mention_count"))
+        .materialize()
+    )
     cdf = census.to_pandas()
 
     blocked = set()

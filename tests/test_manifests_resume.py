@@ -93,35 +93,15 @@ def test_manifest_contents(tpath, tmp_path):
     assert m["wall_sec"] > 0
 
 
-def test_finalize_graph_is_global_and_consistent(tpath, tmp_path):
-    """Nodes/edges from the bucketed flow must equal the single-run pipeline:
-    unique entity ids, summed edge weights, one canonical rep per cluster."""
+def test_finalize_graph_is_global_and_consistent(tpath, tmp_path, assert_golden_graph):
+    """Nodes/edges from the bucketed flow must equal the single-run graph
+    (the frozen golden, surfaces and provenance included): unique entity
+    ids, summed edge weights, one canonical rep per cluster."""
     out = str(tmp_path / "two_phase")
     manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=4)
     r = manifests.finalize_graph(out, CONFIG)
     assert not r["skipped"]
-    import ray.data as rd
-
-    nodes = rd.read_parquet(f"{out}/nodes").to_pandas()
-    edges = rd.read_parquet(f"{out}/edges").to_pandas()
-    assert nodes["entity_id"].is_unique
-    assert not edges.duplicated(["src_id", "dst_id", "pred"]).any()
-    # equals the non-bucketed pipeline
-    single = kg.run_pipeline(tpath)
-    sn = single["nodes"].to_pandas().sort_values("entity_id").reset_index(drop=True)
-    se = (
-        single["edges"].to_pandas()
-        .sort_values(["src_id", "dst_id", "pred"]).reset_index(drop=True)
-    )
-    nodes = nodes.drop(columns=["bucket"], errors="ignore").sort_values(
-        "entity_id"
-    ).reset_index(drop=True)
-    edges = edges.drop(columns=["bucket"], errors="ignore").sort_values(
-        ["src_id", "dst_id", "pred"]
-    ).reset_index(drop=True)
-    assert list(nodes["entity_id"]) == list(sn["entity_id"])
-    assert list(nodes["mention_count"]) == list(sn["mention_count"])
-    assert list(edges["weight"]) == list(se["weight"])
+    assert_golden_graph(f"{out}/nodes", f"{out}/edges")
     # idempotent: second finalize with same buckets+config skips
     assert manifests.finalize_graph(out, CONFIG)["skipped"]
 
@@ -163,34 +143,18 @@ def test_bucketed_input_staged_once_and_reused(tpath, tmp_path):
     assert os.path.isdir(os.path.join(staged, "bucket=3"))
 
 
-def test_incremental_ingest_equals_full_build(tpath, tmp_path):
+def test_incremental_ingest_equals_full_build(tpath, tmp_path, assert_golden_graph):
     """run_incremental (two conversation-disjoint arrivals through the
     bucket machinery, global re-finalize after each) must produce the same
-    nodes/edges as the from-scratch single-run pipeline, and a re-run must
-    skip every bucket and the finalize."""
+    nodes/edges as a from-scratch single run (the frozen golden), and a
+    re-run must skip every bucket and the finalize."""
     out = str(tmp_path / "incr")
     res = kg.run_incremental(tpath, out, num_increments=2, num_buckets=2)
     tags = [t for inc in res["increments"] for t in inc["processed"]]
     assert sorted(tags) == ["inc0.0", "inc0.1", "inc1.0", "inc1.1"]
     assert not any(inc["finalize_skipped"] for inc in res["increments"])
 
-    single = kg.run_pipeline(tpath)
-    ekey = ["src_id", "dst_id", "pred"]
-    e = (
-        res["edges"].to_pandas()
-        .drop(columns=["provenance"], errors="ignore")
-        .sort_values(ekey).reset_index(drop=True)
-    )
-    se = (
-        single["edges"].to_pandas()
-        .drop(columns=["provenance"], errors="ignore")
-        .sort_values(ekey).reset_index(drop=True)
-    )
-    assert e[ekey + ["weight"]].equals(se[ekey + ["weight"]])
-    n = res["nodes"].to_pandas().sort_values("entity_id").reset_index(drop=True)
-    sn = single["nodes"].to_pandas().sort_values("entity_id").reset_index(drop=True)
-    assert list(n["entity_id"]) == list(sn["entity_id"])
-    assert list(n["mention_count"]) == list(sn["mention_count"])
+    assert_golden_graph(res["nodes"], res["edges"])
 
     # resume: nothing re-processed, finalize skipped for both arrivals
     res2 = kg.run_incremental(tpath, out, num_increments=2, num_buckets=2)
@@ -214,7 +178,9 @@ def test_increment_namespaces_do_not_collide(tpath, tmp_path):
     assert done == {0, 1, "day2.0", "day2.1"}
 
 
-def test_incremental_split_change_invalidates_and_stays_correct(tpath, tmp_path):
+def test_incremental_split_change_invalidates_and_stays_correct(
+    tpath, tmp_path, assert_golden_graph
+):
     """Re-running run_incremental into the same out_dir with a DIFFERENT
     arrival split must not reuse buckets produced under the old split
     (conversations that moved between increments would be double-counted);
@@ -224,25 +190,8 @@ def test_incremental_split_change_invalidates_and_stays_correct(tpath, tmp_path)
     res = kg.run_incremental(tpath, out, num_increments=3, num_buckets=2)
     # every new-split bucket was processed, none skipped via stale manifests
     assert all(inc["skipped"] == [] for inc in res["increments"])
-    single = kg.run_pipeline(tpath)
-    ekey = ["src_id", "dst_id", "pred"]
-    e = (
-        res["edges"].to_pandas()
-        .drop(columns=["provenance"], errors="ignore")
-        .sort_values(ekey).reset_index(drop=True)
-    )
-    se = (
-        single["edges"].to_pandas()
-        .drop(columns=["provenance"], errors="ignore")
-        .sort_values(ekey).reset_index(drop=True)
-    )
-    assert e[ekey + ["weight"]].equals(se[ekey + ["weight"]])
+    assert_golden_graph(res["nodes"], res["edges"])
     # shrink back to 2-way: stale inc2.* bucket dirs linger on disk but the
     # finalize must only read manifest-listed buckets
     res2 = kg.run_incremental(tpath, out, num_increments=2, num_buckets=2)
-    e2 = (
-        res2["edges"].to_pandas()
-        .drop(columns=["provenance"], errors="ignore")
-        .sort_values(ekey).reset_index(drop=True)
-    )
-    assert e2[ekey + ["weight"]].equals(se[ekey + ["weight"]])
+    assert_golden_graph(res2["nodes"], res2["edges"])

@@ -56,7 +56,7 @@ def test_neural_pipeline_triple_pr(fixture_dir):
 def test_gpu_seam_builds_lazy_plan(fixture_dir):
     """num_gpus plumbs through to the tagger actor-pool map_batches as a
     lazy plan (no execution — a CPU-only box would otherwise wait forever
-    for a GPU). Guards the kwargs pass-through in tag_turns/run_pipeline."""
+    for a GPU). Guards the kwargs pass-through in tag_turns."""
     import ray.data as rd
 
     from ray.data import Dataset

@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from neuroner_ray.pipelines import kg
+from neuroner_ray.pipelines.kg_streamed import run_pipeline_streamed
 from neuroner_ray.sources import synth_transcripts as synth
 
 
@@ -54,10 +55,7 @@ def test_triples_match_gold(fixture_dir):
 
 
 def test_canonicalization_matches_gazetteer_groups(fixture_dir):
-    tr = kg.read_transcripts(os.path.join(fixture_dir, "transcripts"))
-    tagged = kg.tag_turns(tr)
-    mentions = kg.mentions_of(tagged)
-    nodes, _ = kg.link_and_canonicalize(mentions)
+    nodes = run_pipeline_streamed(os.path.join(fixture_dir, "transcripts"))["nodes"]
     ndf = nodes.to_pandas()
     # every surface observed in the corpus must map to its gazetteer canonical
     canon_of = {}
@@ -97,21 +95,21 @@ def test_entity_free_input_yields_empty_graph(tmp_path):
     src = tmp_path / "tr"
     src.mkdir()
     pq.write_table(t, str(src / "part-0.parquet"))
-    tables = kg.run_pipeline(str(src))
-    assert tables["triples"].count() == 0
+    assert kg.triples_of(kg.tag_turns(kg.read_transcripts(str(src)))).count() == 0
+    tables = run_pipeline_streamed(str(src))
     assert tables["nodes"].count() == 0
     assert tables["edges"].count() == 0
 
 
-def test_full_run_writes_graph(fixture_dir, tmp_path):
+def test_full_run_writes_graph(fixture_dir, tmp_path, assert_golden_graph):
     out = str(tmp_path / "graph")
-    tables = kg.run_pipeline(
+    tables = run_pipeline_streamed(
         os.path.join(fixture_dir, "transcripts"), out_dir=out
     )
     edf = tables["edges"].to_pandas()
     assert (edf["weight"] >= 1).all()
-    assert os.path.isdir(os.path.join(out, "nodes"))
-    assert os.path.isdir(os.path.join(out, "edges"))
+    # the written graph reads back as the frozen golden
+    assert_golden_graph(os.path.join(out, "nodes"), os.path.join(out, "edges"))
     # per-turn text equality + stable ordering invariant (input_hint)
     tdf = (
         kg.read_transcripts(os.path.join(fixture_dir, "transcripts"))

@@ -1,4 +1,5 @@
-"""Streamed single-pass pipeline must equal the classic pipeline."""
+"""The streamed engine: frozen goldens under both taggers and both
+finalize regimes, plus its invariants."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ import os
 
 import pytest
 
-from neuroner_ray.pipelines import kg
 from neuroner_ray.pipelines.kg_streamed import run_pipeline_streamed
 from neuroner_ray.sources import synth_transcripts as synth
 
@@ -32,13 +32,33 @@ def _edges_norm(ds):
     return df
 
 
-def test_streamed_equals_classic(tpath):
-    classic = kg.run_pipeline(tpath)
-    streamed = run_pipeline_streamed(tpath)
-    assert _nodes_norm(classic["nodes"]).equals(_nodes_norm(streamed["nodes"]))
-    a = _edges_norm(classic["edges"])
-    b = _edges_norm(streamed["edges"])
-    assert a.equals(b), (a.head(), b.head())
+@pytest.mark.parametrize(
+    "tagger, finalize",
+    [
+        ("rule", "driver"),
+        ("rule", "distributed"),
+        ("neural", "driver"),
+        ("neural", "distributed"),
+    ],
+    ids=lambda v: v,
+)
+def test_streamed_equals_golden(tpath, assert_golden_graph, monkeypatch, tagger, finalize):
+    """Nodes (with surfaces) and edges (with provenance) equal the frozen
+    goldens. Under the NEURAL tagger this also guards the per-actor
+    sequence memo (tag results must not depend on batch composition or
+    arrival order); ``SMALL_INPUT_TURNS_MAX=0`` forces the distributed
+    finalize."""
+    import neuroner_ray.pipelines.kg_streamed as ks
+    from neuroner_ray.stages.neural_tagger import NeuralTagger
+
+    kwargs = {}
+    if tagger == "neural":
+        ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint")
+        kwargs = {"tagger": NeuralTagger, "tagger_args": (ckpt,), "batch_size": 64}
+    if finalize == "distributed":
+        monkeypatch.setattr(ks, "SMALL_INPUT_TURNS_MAX", 0)
+    streamed = run_pipeline_streamed(tpath, **kwargs)
+    assert_golden_graph(streamed["nodes"], streamed["edges"], tagger)
 
 
 def test_streamed_distributed_finalize_equals_driver(tpath, monkeypatch):
@@ -92,16 +112,18 @@ def test_streamed_source_never_materializes_partials():
     import neuroner_ray.pipelines.kg_streamed as ks
     from neuroner_ray.stages import graph
 
-    for fn in (ks.run_pipeline_streamed, graph.aggregate_edges):
+    for fn in (ks.run_pipeline_streamed, ks.finalize_distributed, graph.aggregate_edges):
         src = inspect.getsource(fn)
         assert "partials.materialize" not in src, fn.__name__
         assert "resolved.materialize" not in src, fn.__name__
-    assert "aggregate_edges(" in inspect.getsource(ks.run_pipeline_streamed)
+    assert "finalize_distributed(" in inspect.getsource(ks.run_pipeline_streamed)
+    assert "aggregate_edges(" in inspect.getsource(ks.finalize_distributed)
 
 
 def test_same_turn_alias_variants_dedup_to_one_edge(tmp_path):
     """O5 regression: two surface variants of the same canonical triple in
-    ONE turn must produce edge weight 1, identically in both pipelines."""
+    ONE turn must produce edge weight 1, identically in both finalize
+    regimes."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -119,10 +141,14 @@ def test_same_turn_alias_variants_dedup_to_one_edge(tmp_path):
     src = tmp_path / "tr"
     src.mkdir()
     pq.write_table(t, str(src / "p.parquet"))
-    classic = kg.run_pipeline(str(src))
-    streamed = run_pipeline_streamed(str(src))
-    a = _edges_norm(classic["edges"])
-    b = _edges_norm(streamed["edges"])
+    import neuroner_ray.pipelines.kg_streamed as ks
+
+    driver = run_pipeline_streamed(str(src))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ks, "SMALL_INPUT_TURNS_MAX", 0)
+        dist = run_pipeline_streamed(str(src))
+    a = _edges_norm(driver["edges"])
+    b = _edges_norm(dist["edges"])
     assert a.equals(b), (a, b)
     row = b[b["pred"] == "works_at"].iloc[0]
     assert row["weight"] == 1  # same (conv, turn) counted once
@@ -139,13 +165,10 @@ def test_streamed_output_invariant_to_batch_size(tpath):
 
 
 def test_streamed_handles_edge_free_and_mention_free_corpora(tmp_path):
-    """Classic and streamed pipelines must agree on degenerate corpora
-    (review finding: pd.concat/pa.concat_tables over empty lists raised)."""
+    """The driver finalize must survive degenerate corpora (review finding:
+    pd.concat/pa.concat_tables over empty lists raised)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-
-    from neuroner_ray.pipelines import kg
-    from neuroner_ray.pipelines.kg_streamed import run_pipeline_streamed
 
     cases = {
         # mentions but no lexicon-matching gaps → nodes, zero edges
@@ -153,6 +176,7 @@ def test_streamed_handles_edge_free_and_mention_free_corpora(tmp_path):
         # no gazetteer hits at all → zero nodes, zero edges
         "mention_free": ["nothing to see here .", "entirely plain text ."],
     }
+    expected_nodes = {"edge_free": 2, "mention_free": 0}
     for name, texts in cases.items():
         d = tmp_path / name
         d.mkdir()
@@ -167,19 +191,28 @@ def test_streamed_handles_edge_free_and_mention_free_corpora(tmp_path):
             }
         )
         pq.write_table(tab, str(d / "part-0.parquet"))
-        classic = kg.run_pipeline(str(d))
-        streamed = run_pipeline_streamed(str(d))
-        assert streamed["nodes"].count() == classic["nodes"].count(), name
-        assert streamed["edges"].count() == classic["edges"].count(), name
+        out = str(tmp_path / f"{name}_graph")
+        streamed = run_pipeline_streamed(str(d), out_dir=out)
+        assert streamed["nodes"].count() == expected_nodes[name], name
+        assert streamed["edges"].count() == 0, name
+        assert pq.read_table(os.path.join(out, "nodes")).num_rows == expected_nodes[name]
+        assert pq.read_table(os.path.join(out, "edges")).num_rows == 0
 
 
 def test_streamed_distributed_handles_degenerate_corpora(tmp_path, monkeypatch):
-    """The staged (large-input) path must survive edge-free and mention-free
-    corpora too — empty filtered reads flow into groupbys."""
+    """The distributed finalize must survive edge-free and mention-free
+    corpora too — empty filtered reads flow into groupbys — both on the
+    streamed disk stage and on the bucket tables of ``run_bucketed`` +
+    ``finalize_graph`` (whose empty graph tables must still be written)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     import neuroner_ray.pipelines.kg_streamed as ks
+    from neuroner_ray.pipelines import kg, manifests
+
+    def table_fn(transcripts):
+        tagged = kg.tag_turns(transcripts)
+        return {"mentions": kg.mentions_of(tagged), "triples": kg.triples_of(tagged)}
 
     monkeypatch.setattr(ks, "SMALL_INPUT_TURNS_MAX", 0)
     cases = {
@@ -204,34 +237,9 @@ def test_streamed_distributed_handles_degenerate_corpora(tmp_path, monkeypatch):
         streamed = run_pipeline_streamed(str(d))
         assert streamed["nodes"].count() == expected_nodes[name], name
         assert streamed["edges"].count() == 0, name
-
-
-@pytest.fixture(scope="module")
-def classic_neural(tpath):
-    from neuroner_ray.stages.neural_tagger import NeuralTagger
-
-    ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint")
-    classic = kg.run_pipeline(tpath, tagger=NeuralTagger, tagger_args=(ckpt,))
-    return _nodes_norm(classic["nodes"]), _edges_norm(classic["edges"])
-
-
-@pytest.mark.parametrize("finalize", ["driver", "distributed"])
-def test_streamed_equals_classic_neural(tpath, classic_neural, monkeypatch, finalize):
-    """Streamed == classic under the NEURAL tagger too — guards the
-    per-actor sequence memo (tag results must not depend on batch
-    composition or arrival order) and the partials producer under both
-    finalize regimes (``SMALL_INPUT_TURNS_MAX=0`` forces the distributed
-    one)."""
-    import neuroner_ray.pipelines.kg_streamed as ks
-    from neuroner_ray.stages.neural_tagger import NeuralTagger
-
-    ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint")
-    if finalize == "distributed":
-        monkeypatch.setattr(ks, "SMALL_INPUT_TURNS_MAX", 0)
-    streamed = run_pipeline_streamed(
-        tpath, tagger=NeuralTagger, tagger_args=(ckpt,), batch_size=64
-    )
-    nodes, a = classic_neural
-    assert nodes.equals(_nodes_norm(streamed["nodes"]))
-    b = _edges_norm(streamed["edges"])
-    assert a.equals(b), (a.head(), b.head())
+        out = str(tmp_path / f"{name}_bucketed")
+        manifests.run_bucketed(str(d), out, table_fn, {"v": 1}, num_buckets=2)
+        fin = manifests.finalize_graph(out, {"v": 1})
+        assert fin["n_nodes"] == expected_nodes[name], name
+        assert manifests.read_output(out, "nodes").count() == expected_nodes[name], name
+        assert manifests.read_output(out, "edges").count() == 0, name
