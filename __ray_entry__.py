@@ -21,7 +21,11 @@ from neuroner_ray.functions.tokenize import TOKEN_PATTERN
 from neuroner_ray.pipelines import queries as q
 from neuroner_ray.pipelines import curate
 from neuroner_ray.pipelines import kg
-from neuroner_ray.pipelines.kg_streamed import run_pipeline_streamed
+from neuroner_ray.pipelines.kg_streamed import (
+    census_batch,
+    finalize_distributed,
+    run_pipeline_streamed,
+)
 from neuroner_ray.sources.synth_transcripts import transcripts_dir_for
 
 
@@ -36,17 +40,19 @@ _KG_CACHE: dict[str, dict] = {}
 
 
 def _kg_tables(sf_dir: str) -> dict:
-    """One graph build and one tagging pass, shared by every kg_* query in
-    this session (both are deterministic, so memoizing only saves repeated
-    work): nodes and edges from the engine, the per-turn mentions and
-    triples from the tagged turns."""
+    """One tagging pass, shared by every kg_* query in this session (it is
+    deterministic, so memoizing only saves repeated work): the per-turn
+    mentions and triples, and the graph the engine's distributed finalize
+    builds from them."""
     if sf_dir not in _KG_CACHE:
-        tdir = transcripts_dir_for(sf_dir)
-        graph = run_pipeline_streamed(tdir)
-        tagged = kg.tag_turns(kg.read_transcripts(tdir)).materialize()
+        turns = kg.turn_tables(kg.read_transcripts(transcripts_dir_for(sf_dir)))
+        graph = finalize_distributed(
+            turns["mentions"].map_batches(census_batch, batch_format="pyarrow"),
+            turns["triples"],
+            None,
+        )
         _KG_CACHE[sf_dir] = {
-            "mentions": kg.mentions_of(tagged).materialize(),
-            "triples": kg.triples_of(tagged).materialize(),
+            **turns,
             "nodes": graph["nodes"],
             "edges": graph["edges"].materialize(),
         }

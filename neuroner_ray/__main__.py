@@ -66,17 +66,13 @@ def main() -> int:
         # per-bucket outputs are PER-TURN tables only — canonicalization is
         # global and happens once in finalize_graph (per-bucket node/edge
         # tables would elect bucket-dependent canonical representatives)
-        tagged = kg.tag_turns(
+        return kg.turn_tables(
             transcripts,
             tagger=tagger,
             tagger_args=tagger_args,
             concurrency=(cfg.tagger_concurrency_min, cfg.tagger_concurrency_max),
             batch_size=cfg.tagger_batch_size,
-        ).materialize()
-        return {
-            "mentions": kg.mentions_of(tagged),
-            "triples": kg.triples_of(tagged),
-        }
+        )
 
     t0 = time.time()
     config_payload = {"tagger": args.tagger, "checkpoint": args.checkpoint}

@@ -4,9 +4,13 @@ The engine is ``kg_streamed.run_pipeline_streamed``: one Ray-Data pass
 from transcripts to nodes and edges. This module holds what it and the
 per-turn table consumers share:
 
-- ``read_transcripts``, ``tag_turns`` (fused tokenize+tag), and the
-  per-turn tables ``mentions_of`` (M3) and ``triples_of`` (M11) that the
-  resumable bucket runs (``manifests.run_bucketed``) persist;
+- ``read_transcripts`` and ``turn_tables``: one actor-pool tagging pass
+  that emits the per-turn mentions (M3) and triples (M11), built
+  column-wise from the tagger's ``Tagged`` result by
+  ``stages.triples.turn_rows`` (the rows the engine's ``FusedAnnotator``
+  builds its partials from). The resumable bucket runs
+  (``manifests.run_bucketed``: the CLI and ``run_incremental``) persist
+  them, and ``kg_streamed.finalize_distributed`` turns them into a graph;
 - linking off a surface census (J4 blocking → A6 union-find → nodes),
   driver-side below ``SMALL_VOCAB_MAX`` distinct surfaces;
 - ``run_incremental``: conversation-disjoint arrivals through the bucket
@@ -18,6 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 from ray.data import Dataset
@@ -25,8 +30,9 @@ from ray.data import Dataset
 from ..stages.canonicalize import connected_components
 from ..stages.graph import build_nodes
 from ..stages.linker import candidate_pairs, node_keys
-from ..stages.tagger import RuleTagger, explode_mentions
-from ..stages.triples import extract_triples_batch
+from ..schemas import MENTIONS, NODES, TRIPLES, TURN_TABLES
+from ..stages.tagger import RuleTagger
+from ..stages.triples import turn_rows
 from ..sources.parquet import read_parquet_clean
 
 
@@ -34,55 +40,81 @@ def read_transcripts(path: str) -> Dataset:
     return read_parquet_clean(path)
 
 
-def tag_turns(
+# both per-turn tables as one union; ``kind`` names the table of a row
+_TURN_ROWS = pa.schema(
+    [("kind", pa.string())]
+    + list(MENTIONS)
+    + [f for f in TRIPLES if f.name not in MENTIONS.names]
+)
+
+
+def union_rows(schema: pa.Schema, kind: str, table: pa.Table) -> pa.Table:
+    """``table`` as rows of one ``kind`` in a union ``schema`` whose first
+    column is ``kind``; columns ``table`` lacks are null."""
+    n = table.num_rows
+    return pa.Table.from_arrays(
+        [pa.repeat(pa.scalar(kind), n)]
+        + [
+            pc.cast(table[f.name], f.type)
+            if f.name in table.column_names
+            else pa.nulls(n, f.type)
+            for f in list(schema)[1:]
+        ],
+        schema=schema,
+    )
+
+
+class TurnRows:
+    """Actor-pool stage wrapping a tagger: batch of raw turns → its MENTIONS
+    and TRIPLES rows (``stages.triples.turn_rows``) as one union table."""
+
+    def __init__(self, tagger_cls: Any = RuleTagger, tagger_args: tuple = ()):
+        self.tagger = tagger_cls(*tagger_args)
+
+    def rows(self, batch: pa.Table) -> tuple[pa.Table, pa.Table]:
+        return turn_rows(batch, self.tagger.annotate(batch))
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        mentions, triples = self.rows(batch)
+        return pa.concat_tables(
+            [
+                union_rows(_TURN_ROWS, "mentions", mentions),
+                union_rows(_TURN_ROWS, "triples", triples),
+            ]
+        )
+
+
+def turn_tables(
     transcripts: Dataset,
     tagger: Any = RuleTagger,
     tagger_args: tuple = (),
     concurrency: Any = (1, 8),
     batch_size: int = 1024,
     num_gpus: float = 0,
-) -> Dataset:
-    """Fused tokenize+tag: the map-only hot path (no shuffle by construction).
+) -> dict[str, Dataset]:
+    """The per-turn tables of one tagging pass: {"mentions" (M3),
+    "triples" (M11)}.
 
-    Taggers tokenize inline, column-wise (see ``stages.tagger.tokens_of_batch``)
-    — one stage, no intermediate Arrow tokens column. The default gazetteer tagger runs as
-    stateless tasks (elastic, no pool ramp-up); stateful taggers (weights)
-    run as an actor pool. ``num_gpus`` is the north_star GPU-actor seam:
-    pass e.g. 1 (or 0.5 for packing) on a GPU cluster and Ray schedules
-    each tagger actor on a GPU; the NumPy tagger here never asks for one
-    (this sandbox is CPU-only), so the default is 0.
+    One actor-pool stage (``TurnRows``) tags each batch once and emits both
+    row kinds; its output is materialized once and split by kind, so the
+    two tables never re-run the tagger. ``num_gpus`` is the north_star
+    GPU-actor seam: pass e.g. 1 (or 0.5 for packing) on a GPU cluster and
+    Ray schedules each tagger actor on a GPU; the NumPy taggers here never
+    ask for one (this engine is CPU-only by default), so the default is 0.
     """
-    if tagger is RuleTagger and not tagger_args:
-        if num_gpus:
-            # the gazetteer fast path schedules plain CPU tasks — silently
-            # dropping a GPU request would be a lie; the seam is for
-            # stateful (weights-bearing) taggers
-            raise ValueError(
-                "num_gpus requires a stateful tagger (actor pool); the "
-                "default gazetteer tagger runs as CPU tasks"
-            )
-        from ..stages.tagger import rule_tag_batch
-
-        return transcripts.map_batches(
-            rule_tag_batch, batch_format="pyarrow", batch_size=batch_size
-        )
-    kwargs = {"num_gpus": num_gpus} if num_gpus else {}
-    return transcripts.map_batches(
-        tagger,
-        fn_constructor_args=tagger_args,
+    gpu_kwargs = {"num_gpus": num_gpus} if num_gpus else {}
+    rows = transcripts.map_batches(
+        TurnRows,
+        fn_constructor_args=(tagger, tagger_args),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
-        **kwargs,
-    )
-
-
-def mentions_of(tagged: Dataset) -> Dataset:
-    return tagged.map_batches(explode_mentions, batch_format="pyarrow")
-
-
-def triples_of(tagged: Dataset) -> Dataset:
-    return tagged.map_batches(extract_triples_batch, batch_format="pyarrow")
+        **gpu_kwargs,
+    ).materialize()
+    return {
+        name: rows.filter(expr=f"kind == '{name}'").select_columns(schema.names)
+        for name, schema in TURN_TABLES.items()
+    }
 
 
 SMALL_VOCAB_MAX = 100_000  # distinct surfaces under which linking runs driver-side
@@ -141,8 +173,6 @@ def _link_small_census(census: Dataset) -> tuple[Dataset, Dataset]:
 def _link_from_census(census: Dataset) -> tuple[Dataset, Dataset]:
     n = census.count()
     if n == 0:  # entity-free corpus → empty typed graph
-        from ..schemas import NODES
-
         empty_nodes = rd.from_arrow(NODES.empty_table())
         empty_labels = rd.from_arrow(
             pa.table(
@@ -163,58 +193,6 @@ def _link_from_census(census: Dataset) -> tuple[Dataset, Dataset]:
 
 
 # ------------------------------------------------------- incremental ingest
-def _stage_increments(
-    transcripts_path: str, out_dir: str, num_increments: int
-) -> str:
-    """ONE streaming pass splits the input into ``num_increments``
-    conversation-disjoint arrival batches under ``<out>/_increments/inc=<i>``
-    (hive-partitioned, idempotent via a keyed ``_DONE`` marker — same
-    pattern as ``manifests._ensure_bucketed_input``). The split hash is
-    salted so it is independent of the bucket hash inside each ingest."""
-    import json
-    import os
-    import shutil
-
-    # split-count in the path: `inc=0` holds DIFFERENT conversations under
-    # a 2-way vs 3-way split, and downstream staging (run_bucketed's
-    # per-increment `_bucketed-inc-*`) is keyed on this path — reusing one
-    # dir across splits would silently feed stale conversation sets
-    staged = os.path.join(out_dir, f"_increments-n{num_increments}")
-    marker = os.path.join(staged, "_DONE")
-    key = {"input": transcripts_path, "n": num_increments}
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                if json.load(f) == key:
-                    return staged
-        except (OSError, json.JSONDecodeError):
-            pass
-        shutil.rmtree(staged, ignore_errors=True)
-    tmp = f"{staged}.tmp-{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-
-    def add_inc(t: pa.Table) -> pa.Table:
-        # vectorized siphash with its own key domain (decorrelated from the
-        # conv resume buckets); ANY deterministic disjoint split is valid —
-        # finalize recomputes the global stages, so the invariant
-        # incremental == full rebuild holds regardless of assignment
-        from ..runtime.hashing import hash_buckets
-
-        vals = hash_buckets(t["conv_id"], num_increments, key="inc")
-        return t.append_column(
-            "inc", pa.array(vals.astype("int32"), pa.int32())
-        )
-
-    read_transcripts(transcripts_path).map_batches(
-        add_inc, batch_format="pyarrow"
-    ).write_parquet(tmp, partition_cols=["inc"])
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(key, f)
-    shutil.rmtree(staged, ignore_errors=True)
-    os.replace(tmp, staged)
-    return staged
-
-
 def run_incremental(
     transcripts_path: str,
     out_dir: str,
@@ -244,11 +222,11 @@ def run_incremental(
     """
     import os
 
+    from ..runtime.hashing import hash_buckets
     from . import manifests
 
     def table_fn(transcripts: Dataset) -> dict[str, Dataset]:
-        tagged = tag_turns(transcripts, tagger=tagger, tagger_args=tagger_args)
-        return {"mentions": mentions_of(tagged), "triples": triples_of(tagged)}
+        return turn_tables(transcripts, tagger=tagger, tagger_args=tagger_args)
 
     cfg = dict(config or {})
     cfg.setdefault("pipeline", "kg-incremental-v1")
@@ -258,7 +236,22 @@ def run_incremental(
     # produced under the old split and double-count moved conversations
     cfg["num_increments"] = num_increments
     cfg["num_buckets"] = num_buckets
-    staged = _stage_increments(transcripts_path, out_dir, num_increments)
+    # one streaming pass splits the input into conversation-disjoint arrival
+    # batches under <out>/_increments-n<N>/inc=<i>. The split count is in
+    # the path: `inc=0` holds DIFFERENT conversations under a 2-way vs 3-way
+    # split, and each increment's own bucket staging is keyed on this path.
+    # The siphash has its own key domain (decorrelated from the crc32 resume
+    # buckets); ANY deterministic disjoint split is valid, since finalize
+    # recomputes the global stages.
+    staged = manifests.stage_partitioned(
+        transcripts_path,
+        os.path.join(out_dir, f"_increments-n{num_increments}"),
+        {"input": transcripts_path, "n": num_increments},
+        "inc",
+        lambda conv: pa.array(
+            hash_buckets(conv, num_increments, key="inc").astype("int32"), pa.int32()
+        ),
+    )
     log = []
     for i in range(num_increments):
         idir = os.path.join(staged, f"inc={i}")

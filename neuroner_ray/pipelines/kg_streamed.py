@@ -6,9 +6,11 @@ turn_idx) instance (within-batch dedup; globally distinct because each
 turn lives in exactly one batch). No unbounded list payloads, and the
 corpus is never pinned in the object store. The fused stage is
 column-wise end to end: the tagger's flat ``Tagged`` result (tokens,
-label codes, mention spans) feeds Arrow group-bys for the census
-(``census_batch``) and the distinct instances — no per-row Python between
-the tagger kernels and the partials:
+label codes, mention spans) becomes the batch's MENTIONS and TRIPLES rows
+(``stages.triples.turn_rows``, the same rows ``kg.turn_tables`` persists),
+which feed Arrow group-bys for the census (``census_batch``) and the
+distinct instances — no per-row Python between the tagger kernels and the
+partials:
 
     read → [tag → census partials + triple instances]        (1 pass)
          → small input: stream partials to the driver; census group-by,
@@ -22,7 +24,8 @@ the tagger kernels and the partials:
 
 ``finalize_distributed`` is also the global finalize of the resumable
 bucket runs (``manifests.finalize_graph``), fed from the persisted
-per-turn mentions and triples. Every regime runs the one O5/A7 kernel of
+per-turn mentions and triples, and builds the ``kg_*`` queries' graph from
+their one ``kg.turn_tables`` pass. Every regime runs the one O5/A7 kernel of
 ``stages/graph.py``, and the finalize shuffles move fixed-width rows
 only. O5's distinct-turn weights stay exact because surface variants of
 one canonical triple in the same turn resolve to identical instance
@@ -55,10 +58,9 @@ from ..stages.graph import (
     materialize_graph,
     pin_empty_tables,
 )
-from ..stages.tagger import RuleTagger, Tagged
-from ..stages.triples import triples_flat
-from ..sources.parquet import read_parquet_clean
-from .kg import _link_from_census, read_transcripts
+from ..stages.tagger import RuleTagger
+from ..sources.parquet import pin_empty, read_parquet_clean
+from .kg import TurnRows, _link_from_census, read_transcripts, union_rows
 
 # Fixed-width union schema: census rows ("c") use (ent_type, surface, n);
 # instance rows ("e") use the TRIPLES column names (subj..obj_type,
@@ -99,73 +101,39 @@ def census_batch(mentions: pa.Table) -> pa.Table:
     )
 
 
-def _partials(batch: pa.Table, tagged: Tagged) -> pa.Table:
-    """One tagged batch → partials union table: census counts per
-    (ent_type, surface), then the distinct triple instances. Built with
-    Arrow group-bys over the flat mentions and triples; every column is a
-    fresh compact array (no views into the batch's text buffers)."""
-    census = census_batch(
-        pa.table({"ent_type": tagged.mention_type, "surface": tagged.surface})
-    )
-    s, o, pred = triples_flat(tagged)
-    rows = tagged.mention_rows[s]
+def _partials(mentions: pa.Table, triples: pa.Table) -> pa.Table:
+    """One batch's per-turn rows → partials union table: census counts per
+    (ent_type, surface), then the distinct triple instances, both through
+    Arrow group-bys; every column is a fresh compact array (no views into
+    the batch's text buffers)."""
     # within-batch dedup; a (conv, turn) appears in exactly one batch, so
     # the staged instance rows are globally distinct 7-tuples — cross-batch
     # dedup is unnecessary at surface level
     instances = (
-        pa.table(
-            {
-                "subj": tagged.surface.take(s),
-                "subj_type": tagged.mention_type.take(s),
-                "pred": pred,
-                "obj": tagged.surface.take(o),
-                "obj_type": tagged.mention_type.take(o),
-                "conv_id": batch["conv_id"].take(rows),
-                "turn_idx": pc.cast(batch["turn_idx"].take(rows), pa.int64()),
-            }
-        )
+        triples.select(_INSTANCE_COLS)
         .group_by(_INSTANCE_COLS)
         .aggregate([])
         # sorted rows keep runs of equal surfaces: the disk stage compresses
         .sort_by([(c, "ascending") for c in _INSTANCE_COLS])
     )
-
     return pa.concat_tables(
         [
-            _union_rows("c", census.num_rows, **{c: census[c] for c in _CENSUS_COLS}),
-            _union_rows(
-                "e", instances.num_rows, **{c: instances[c] for c in _INSTANCE_COLS}
-            ),
+            union_rows(_PARTIAL_SCHEMA, "c", census_batch(mentions)),
+            union_rows(_PARTIAL_SCHEMA, "e", instances),
         ]
     ).combine_chunks()
 
 
-def _union_rows(kind: str, num_rows: int, **cols) -> pa.Table:
-    """``num_rows`` rows of one kind in ``_PARTIAL_SCHEMA``; absent columns
-    are null."""
-    return pa.Table.from_arrays(
-        [pa.repeat(pa.scalar(kind), num_rows)]
-        + [
-            cols.get(f.name, pa.nulls(num_rows, f.type))
-            for f in list(_PARTIAL_SCHEMA)[1:]
-        ],
-        schema=_PARTIAL_SCHEMA,
-    )
-
-
-class FusedAnnotator:
+class FusedAnnotator(TurnRows):
     """Actor-pool stage wrapping a tagger (anything with
     ``annotate(batch) -> Tagged``): batch of raw turns → partials.
 
-    The tagger's column-wise ``annotate`` result (``stages.tagger.Tagged``)
-    feeds ``_partials`` directly — no ``labels``/``mentions`` columns are
-    rendered and nothing round-trips through Python lists."""
-
-    def __init__(self, tagger_cls: Any = RuleTagger, tagger_args: tuple = ()):
-        self.tagger = tagger_cls(*tagger_args)
+    The batch's per-turn rows (``TurnRows.rows``) feed ``_partials``
+    directly — no ``labels``/``mentions`` columns are rendered and nothing
+    round-trips through Python lists."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _partials(batch, self.tagger.annotate(batch))
+        return _partials(*self.rows(batch))
 
 
 # Input turns under which finalize runs driver-side (known up-front from
@@ -290,16 +258,10 @@ def run_pipeline_streamed(
     os.makedirs(stage_dir, exist_ok=True)
     # streaming consumption of the one pass
     partials.write_parquet(stage_dir, min_rows_per_file=STAGE_ROWS_PER_FILE)
+    # mention-free corpus: Ray skips empty blocks, leaving a schema-less
+    # stage — pin the typed empty so the re-reads keep their schema
+    pin_empty(stage_dir, _PARTIAL_SCHEMA)
     stage_files = sum(f.endswith(".parquet") for f in os.listdir(stage_dir))
-    if not stage_files:
-        # mention-free corpus: Ray skips empty blocks, leaving a schema-less
-        # stage — pin the typed empty so the re-reads keep their schema
-        import pyarrow.parquet as pq
-
-        pq.write_table(
-            _PARTIAL_SCHEMA.empty_table(), os.path.join(stage_dir, "empty.parquet")
-        )
-        stage_files = 1
 
     def stage_rows(kind: str, cols: list[str]) -> Dataset:
         return (

@@ -28,7 +28,8 @@ import pyarrow.parquet as pq
 import ray.data as rd
 from ray.data import Dataset
 
-from ..sources.parquet import read_parquet_clean
+from ..schemas import TRANSCRIPTS, TURN_TABLES
+from ..sources.parquet import pin_empty, read_parquet_clean
 
 
 def config_hash(config: dict) -> str:
@@ -78,24 +79,24 @@ def write_manifest(out_dir: str, bucket: int, payload: dict) -> None:
     os.replace(tmp, os.path.join(mdir, f"bucket={bucket}.json"))
 
 
-def _ensure_bucketed_input(
-    transcripts_path: str, out_dir: str, num_buckets: int, increment: str | None = None
+def stage_partitioned(
+    transcripts_path: str,
+    staged: str,
+    key: dict,
+    column: str,
+    values: Callable[[pa.ChunkedArray], pa.Array],
 ) -> str:
-    """One-time bucket-partitioned rewrite of the input (resume-safe).
+    """One-time rewrite of the input into ``staged``, hive-partitioned by
+    ``column`` = ``values(conv_id column)`` (resume-safe).
 
-    The old design materialized the whole bucketized corpus in the object
-    store and filtered it per bucket — pinning 100 TB before any bucket
-    runs. Instead: ONE streaming pass writes ``<out>/_bucketed/bucket=<i>/``
-    hive partitions; each bucket's pipeline then reads only its own
-    directory (pruned at the read). Costs one extra write+read of the
-    corpus; avoids B full input scans AND any corpus-sized materialization.
-    Idempotent across resumes via a ``_DONE`` marker keyed on (input path,
-    num_buckets); written to tmp + atomic rename so a killed run restages.
+    ONE streaming pass writes ``<staged>/<column>=<v>/`` partitions, so each
+    partition's pipeline reads only its own directory (pruned at the read)
+    — no B full input scans and no corpus-sized object-store
+    materialization, for one extra write+read of the corpus. Idempotent
+    across resumes via a ``_DONE`` marker holding ``key``; written to tmp +
+    atomic rename so a killed run restages.
     """
-    suffix = f"-inc-{increment}" if increment else ""
-    staged = os.path.join(out_dir, f"_bucketed{suffix}")
     marker = os.path.join(staged, "_DONE")
-    key = {"input": transcripts_path, "num_buckets": num_buckets}
     if os.path.exists(marker):
         try:
             with open(marker) as f:
@@ -106,14 +107,10 @@ def _ensure_bucketed_input(
         shutil.rmtree(staged, ignore_errors=True)  # stale staging
     tmp = f"{staged}.tmp-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        vals = [bucket_of(c, num_buckets) for c in t["conv_id"].to_pylist()]
-        return t.append_column("bucket", pa.array(vals, pa.int32()))
-
     read_parquet_clean(transcripts_path).map_batches(
-        add_bucket, batch_format="pyarrow"
-    ).write_parquet(tmp, partition_cols=["bucket"])
+        lambda t: t.append_column(column, values(t["conv_id"])),
+        batch_format="pyarrow",
+    ).write_parquet(tmp, partition_cols=[column])
     with open(os.path.join(tmp, "_DONE"), "w") as f:
         json.dump(key, f)
     shutil.rmtree(staged, ignore_errors=True)
@@ -162,7 +159,15 @@ def run_bucketed(
         return f"{increment}.{b}" if increment else b
 
     todo = [b for b in range(num_buckets) if tag_of(b) not in done]
-    staged = _ensure_bucketed_input(transcripts_path, out_dir, num_buckets, increment)
+    staged = stage_partitioned(
+        transcripts_path,
+        os.path.join(out_dir, "_bucketed" + (f"-inc-{increment}" if increment else "")),
+        {"input": transcripts_path, "num_buckets": num_buckets},
+        "bucket",
+        lambda conv: pa.array(
+            [bucket_of(c, num_buckets) for c in conv.to_pylist()], pa.int32()
+        ),
+    )
     processed = []
     for b in todo:
         t0 = time.time()
@@ -171,8 +176,9 @@ def run_bucketed(
         bdir = os.path.join(staged, f"bucket={b}")
         if os.path.isdir(bdir):
             part = read_parquet_clean(bdir).drop_columns(["bucket"])
-        else:  # no conversation hashed into this bucket
-            part = read_parquet_clean(transcripts_path).limit(0)
+        else:  # no conversation hashed into this bucket: one empty block
+            # (an actor-pool stage given no block at all warns)
+            part = rd.from_arrow(TRANSCRIPTS.empty_table())
         n_in = part.count()
         tables = table_fn(part)
         counts: dict[str, int] = {"input_turns": n_in}
@@ -183,6 +189,8 @@ def run_bucketed(
             shutil.rmtree(tmp, ignore_errors=True)
             os.makedirs(tmp, exist_ok=True)
             ds.write_parquet(tmp)
+            if name in TURN_TABLES:  # a turn-free or mention-free bucket
+                pin_empty(tmp, TURN_TABLES[name])
             counts[name] = pq.ParquetDataset(tmp).read().num_rows
             shutil.rmtree(final, ignore_errors=True)
             os.replace(tmp, final)
@@ -207,8 +215,9 @@ def run_bucketed(
     return {"processed": processed, "skipped": skipped}
 
 
-def read_output(out_dir: str, table: str, tags=None) -> Dataset:
-    """Read completed buckets of one output table.
+def read_output(out_dir: str, table: str, tags=None, columns=None) -> Dataset:
+    """Read completed buckets of one output table (only ``columns``, if
+    given).
 
     With ``tags`` (the manifest-listed bucket set), ONLY those bucket
     directories are read — bucket dirs left behind by an earlier config or
@@ -216,7 +225,7 @@ def read_output(out_dir: str, table: str, tags=None) -> Dataset:
     ``inc2.*`` dirs) must not leak into a global finalize."""
     root = os.path.join(out_dir, table)
     if tags is None:
-        return read_parquet_clean(root)
+        return read_parquet_clean(root, columns=columns)
     files = []
     for t in tags:
         p = os.path.join(root, f"bucket={t}")
@@ -229,8 +238,8 @@ def read_output(out_dir: str, table: str, tags=None) -> Dataset:
                 if f.endswith(".parquet")
             )
     if not files:
-        return read_parquet_clean(root).limit(0)
-    return read_parquet_clean(files)
+        return read_parquet_clean(root, columns=columns).limit(0)
+    return read_parquet_clean(files, columns=columns)
 
 
 def finalize_graph(out_dir: str, config: dict) -> dict:
@@ -261,9 +270,9 @@ def finalize_graph(out_dir: str, config: dict) -> dict:
         except (OSError, json.JSONDecodeError):
             pass
     t0 = time.time()
-    census = read_output(out_dir, "mentions", tags=done).map_batches(
-        ks.census_batch, batch_format="pyarrow"
-    )
+    census = read_output(
+        out_dir, "mentions", tags=done, columns=["ent_type", "surface"]
+    ).map_batches(ks.census_batch, batch_format="pyarrow")
     triples = read_output(out_dir, "triples", tags=done)
     # finalize outputs get the same tmp+rename atomicity as bucket outputs:
     # materialize_graph APPENDS uniquely-named files, so writing straight

@@ -70,6 +70,10 @@ TRIPLES = pa.schema(
     ]
 )
 
+# the per-turn tables of one tagging pass (``pipelines.kg.turn_tables``),
+# persisted per bucket by ``pipelines.manifests.run_bucketed``
+TURN_TABLES = {"mentions": MENTIONS, "triples": TRIPLES}
+
 # ---- canonical entities / nodes (A6 output) --------------------------------
 NODES = pa.schema(
     [

@@ -53,3 +53,11 @@ def read_parquet_clean(path, *, columns=None, **kwargs) -> Dataset:
     return rd.read_parquet(path, columns=columns, **kwargs).map_batches(
         strip_schema_metadata, batch_format="pyarrow"
     )
+
+
+def pin_empty(path: str, schema: pa.Schema) -> None:
+    """Ray writes no file for an empty Dataset: give a table directory that
+    got none a typed empty file, so it reads back with its schema."""
+    if not any(f.endswith(".parquet") for _, _, fs in os.walk(path) for f in fs):
+        os.makedirs(path, exist_ok=True)
+        pq.write_table(schema.empty_table(), os.path.join(path, "empty.parquet"))

@@ -27,7 +27,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 from ray.data import Dataset
@@ -35,6 +34,7 @@ from ray.data import Dataset
 from ..runtime.combine import tree_combine
 from ..runtime.hashing import hash_buckets
 from ..schemas import EDGES, NODES, PROVENANCE_STRUCT
+from ..sources.parquet import pin_empty
 from .linker import node_keys
 
 PROVENANCE_CAP = 5
@@ -289,13 +289,9 @@ def materialize_graph(
 
 
 def pin_empty_tables(out_dir: str) -> None:
-    """Ray writes no file for an empty Dataset: give a graph table that got
-    none a typed empty file, so it reads back with its schema."""
+    """A graph table that got no file gets a typed empty one."""
     for name, schema in (("nodes", NODES), ("edges", EDGES)):
-        d = os.path.join(out_dir, name)
-        if not any(f.endswith(".parquet") for _, _, fs in os.walk(d) for f in fs):
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(schema.empty_table(), os.path.join(d, "empty.parquet"))
+        pin_empty(os.path.join(out_dir, name), schema)
 
 
 # ------------------------------------------------------------- analytics

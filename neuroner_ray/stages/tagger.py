@@ -1,4 +1,4 @@
-"""Sequence-tagging stages: gazetteer rule tagger + span assembly + explode.
+"""Sequence-tagging stages: gazetteer rule tagger + column-wise span assembly.
 
 The reference's inference path (EP2: src/train.py::prediction_step ≈L60–L160
 over an EntityLSTM) is embarrassingly parallel over sentences; here it is an
@@ -15,12 +15,15 @@ Both work column-wise on a whole batch: ``annotate`` tokenizes the batch
 flat (``tokenize_flat``, or the ``tokens`` column when present), gives
 every token a label code and assembles mention spans by run-length over
 the codes — a ``Tagged`` result with no per-row Python. ``__call__``
-renders it as the public ``labels``/``mentions`` columns; the streamed
-pipeline's ``FusedAnnotator`` consumes the ``Tagged`` result directly.
+renders it as the public ``labels``/``mentions`` columns. The pipelines
+consume the ``Tagged`` result directly: ``stages.triples.turn_rows`` turns
+it into the per-turn MENTIONS and TRIPLES rows that both the engine's
+``FusedAnnotator`` and ``pipelines.kg.turn_tables`` build on.
 ``tag_tokens``/``mentions_from_labels`` are the per-row reference forms.
 
-Both are callable classes → Ray actor pools: expensive setup (trie build /
-weight load) happens once per actor in ``__init__``, not per batch.
+Both run as Ray actor pools (the one scheduling form for taggers):
+expensive setup (trie build / weight load) happens once per actor in
+``__init__``, not per batch.
 """
 
 from __future__ import annotations
@@ -257,55 +260,3 @@ class RuleTagger:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return self.annotate(batch).append_to(batch)
-
-
-_DEFAULT_TAGGER: RuleTagger | None = None
-
-
-def rule_tag_batch(batch: pa.Table) -> pa.Table:
-    """Stateless-task variant of RuleTagger with the default gazetteer.
-
-    A plain function schedules as elastic tasks (no actor-pool ramp-up);
-    the tagger is built once per worker process and cached in the module
-    global — same semantics as the actor, better scaling for the cheap
-    gazetteer tagger. Use the class form for taggers with real state
-    (NeuralTagger's weights)."""
-    global _DEFAULT_TAGGER
-    if _DEFAULT_TAGGER is None:
-        _DEFAULT_TAGGER = RuleTagger()
-    return _DEFAULT_TAGGER(batch)
-
-
-def explode_mentions(batch: pa.Table) -> pa.Table:
-    """Tagged turns → one row per mention (MENTIONS schema).
-
-    Stateless ``map_batches``; no shuffle — mentions stay co-located with
-    their conversation's block.
-    """
-    conv: list[str] = []
-    turn: list[int] = []
-    etype: list[str] = []
-    start: list[int] = []
-    end: list[int] = []
-    surf: list[str] = []
-    cids = batch["conv_id"].to_pylist()
-    tidx = batch["turn_idx"].to_pylist()
-    ments = batch["mentions"].to_pylist()
-    for cid, ti, ms in zip(cids, tidx, ments):
-        for m in ms:
-            conv.append(cid)
-            turn.append(ti)
-            etype.append(m["ent_type"])
-            start.append(m["start"])
-            end.append(m["end"])
-            surf.append(m["surface"])
-    return pa.table(
-        {
-            "conv_id": pa.array(conv, pa.string()),
-            "turn_idx": pa.array(turn, pa.int32()),
-            "ent_type": pa.array(etype, pa.string()),
-            "start": pa.array(start, pa.int32()),
-            "end": pa.array(end, pa.int32()),
-            "surface": pa.array(surf, pa.string()),
-        }
-    )

@@ -8,9 +8,13 @@ adjacent in a turn (no third mention between them), the normalized token
 sequence strictly between them is looked up in a fixed predicate lexicon;
 a hit emits ``(subj_surface, pred, obj_surface)`` with the mention types.
 
-Ray mapping: stateless ``map_batches`` over tagged Arrow batches — the
-lexicon is a module constant (shipped in the function closure, tiny), no
-shuffle, no state.
+``extract_triples_row`` is the per-row reference. The pipelines run
+``triples_flat`` over a batch's ``Tagged`` result inside the tagger's
+actor stage, and ``turn_rows`` builds the batch's MENTIONS and TRIPLES
+rows from it column-wise — the one source of per-turn rows for the engine
+(``kg_streamed.FusedAnnotator``) and the persisted tables
+(``kg.turn_tables``). The lexicon is a module constant; no shuffle, no
+state.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.tokenize import concat_ranges
+from ..schemas import MENTIONS, TRIPLES
 from .tagger import Tagged
 
 # normalized between-mention token string → canonical predicate
@@ -93,37 +98,42 @@ def triples_flat(tagged: Tagged) -> tuple[np.ndarray, np.ndarray, pa.Array]:
     return a[keep], b[keep], _LEXICON_PREDS.take(hit.drop_null())
 
 
-def extract_triples_batch(batch: pa.Table) -> pa.Table:
-    """Tagged turns → TRIPLES-schema table (one row per extracted triple)."""
-    conv: list[str] = []
-    turn: list[int] = []
-    subj: list[str] = []
-    pred: list[str] = []
-    obj: list[str] = []
-    st: list[str] = []
-    ot: list[str] = []
-    cids = batch["conv_id"].to_pylist()
-    tidx = batch["turn_idx"].to_pylist()
-    texts = batch["text"].to_pylist()
-    ments = batch["mentions"].to_pylist()
-    for cid, ti, text, ms in zip(cids, tidx, texts, ments):
-        for s, p, o, s_t, o_t in extract_triples_row(text, ms):
-            conv.append(cid)
-            turn.append(ti)
-            subj.append(s)
-            pred.append(p)
-            obj.append(o)
-            st.append(s_t)
-            ot.append(o_t)
-    return pa.table(
-        {
-            "conv_id": pa.array(conv, pa.string()),
-            "turn_idx": pa.array(turn, pa.int32()),
-            "subj": pa.array(subj, pa.string()),
-            "pred": pa.array(pred, pa.string()),
-            "obj": pa.array(obj, pa.string()),
-            "subj_type": pa.array(st, pa.string()),
-            "obj_type": pa.array(ot, pa.string()),
-            "confidence": pa.array([1.0] * len(subj), pa.float32()),
-        }
+def turn_rows(batch: pa.Table, tagged: Tagged) -> tuple[pa.Table, pa.Table]:
+    """A tagged batch's per-turn rows: (``schemas.MENTIONS``,
+    ``schemas.TRIPLES``) tables, in row order and text order within a row.
+
+    Column-wise: the mentions are ``Tagged``'s flat spans, the triples are
+    ``triples_flat``'s mention pairs, and each row's (conv_id, turn_idx)
+    is taken from ``batch`` at its mention's row."""
+    s, o, pred = triples_flat(tagged)
+    rows = tagged.mention_rows
+
+    def keys(at: np.ndarray) -> list:
+        return [
+            pc.cast(batch["conv_id"].take(at), pa.string()),
+            pc.cast(batch["turn_idx"].take(at), pa.int32()),
+        ]
+
+    mentions = pa.Table.from_arrays(
+        keys(rows)
+        + [
+            tagged.mention_type,
+            pa.array(tagged.mention_start, pa.int32()),
+            pa.array(tagged.mention_end, pa.int32()),
+            tagged.surface,
+        ],
+        schema=MENTIONS,
     )
+    triples = pa.Table.from_arrays(
+        keys(rows[s])
+        + [
+            tagged.surface.take(s),
+            pred,
+            tagged.surface.take(o),
+            tagged.mention_type.take(s),
+            tagged.mention_type.take(o),
+            pa.repeat(pa.scalar(1.0, pa.float32()), s.size),
+        ],
+        schema=TRIPLES,
+    )
+    return mentions, triples

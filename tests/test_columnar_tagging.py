@@ -5,7 +5,10 @@ whole batch at once, and ``FusedAnnotator`` builds its partials with Arrow
 group-bys. The per-row functions kept in the library define what they
 must compute: ``tokenize_text``, ``tag_tokens``, ``bioes_to_bio``,
 ``assemble_spans``/``mentions_from_labels``, ``extract_triples_row``, and a
-``Counter``/``set`` partials build. In-process; no Ray Data.
+``Counter``/``set`` partials build. The per-turn MENTIONS and TRIPLES rows
+(``turn_rows``, which both the partials and ``kg.turn_tables`` build on)
+equal those references row for row, in order and with the exact schemas.
+In-process; no Ray Data.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from neuroner_ray.functions.labels import (
 )
 from neuroner_ray.functions.tokenize import tokenize_flat, tokenize_text
 from neuroner_ray.pipelines.kg_streamed import _PARTIAL_SCHEMA, FusedAnnotator
+from neuroner_ray.schemas import MENTIONS, TRIPLES
 from neuroner_ray.sources import synth_transcripts as synth
 from neuroner_ray.stages.neural_tagger import NeuralTagger
 from neuroner_ray.stages.tagger import RuleTagger, mentions_from_labels, tag_tokens
-from neuroner_ray.stages.triples import extract_triples_row
+from neuroner_ray.stages.triples import extract_triples_row, turn_rows
 from neuroner_ray.state.model import (
     char_features_unique,
     forward_scores_batch,
@@ -137,6 +141,26 @@ def _reference(batches: list[pa.Table], kind: str, tagger) -> tuple[list, list, 
     return labels, mentions, sorted(rows, key=repr)
 
 
+def _reference_turn_tables(batches: list[pa.Table], mentions: list) -> tuple:
+    """MENTIONS and TRIPLES tables built one row at a time from the
+    per-row mentions and ``extract_triples_row``, in turn order."""
+    whole = pa.concat_tables(batches)
+    keys = list(zip(whole["conv_id"].to_pylist(), whole["turn_idx"].to_pylist()))
+    texts = whole["text"].to_pylist()
+    m_rows = [
+        {"conv_id": c, "turn_idx": t, **m} for (c, t), ms in zip(keys, mentions) for m in ms
+    ]
+    t_rows = [
+        dict(zip(TRIPLES.names, (c, t, s, p, o, s_t, o_t, 1.0)))
+        for (c, t), text, ms in zip(keys, texts, mentions)
+        for s, p, o, s_t, o_t in extract_triples_row(text or "", ms)
+    ]
+    return (
+        pa.Table.from_pylist(m_rows, schema=MENTIONS),
+        pa.Table.from_pylist(t_rows, schema=TRIPLES),
+    )
+
+
 def _partial_rows(tables: list[pa.Table]) -> list[tuple]:
     t = pa.concat_tables(tables)
     assert t.schema == _PARTIAL_SCHEMA
@@ -144,8 +168,8 @@ def _partial_rows(tables: list[pa.Table]) -> list[tuple]:
 
 
 def _check(batches: list[pa.Table], kind: str) -> list:
-    """Columnar labels, mentions and partials == the per-row reference;
-    returns the reference mentions."""
+    """Columnar labels, mentions, turn rows and partials == the per-row
+    reference; returns the reference mentions."""
     tagger = RuleTagger() if kind == "rule" else NeuralTagger(CKPT)
     annotator = FusedAnnotator(type(tagger), () if kind == "rule" else (CKPT,))
     labels, mentions, partials = _reference(batches, kind, tagger)
@@ -153,6 +177,11 @@ def _check(batches: list[pa.Table], kind: str) -> list:
     assert sum((t["labels"].to_pylist() for t in tagged), []) == labels
     assert sum((t["mentions"].to_pylist() for t in tagged), []) == mentions
     assert _partial_rows([annotator(b) for b in batches]) == partials
+    rows = [turn_rows(b, tagger.annotate(b)) for b in batches]
+    for got, want in zip(zip(*rows), _reference_turn_tables(batches, mentions)):
+        got = pa.concat_tables(got)
+        assert got.schema == want.schema  # exact types, names and order
+        assert got.num_rows == want.num_rows and got.equals(want)
     return mentions
 
 
@@ -172,6 +201,36 @@ def test_columnar_adversarial_batch(kind):
         assert surfaces[5] == [] and surfaces[6] == ["Acme Corp"]  # Alice | Johnson
         assert extract_triples_row(ADVERSARIAL[9], mentions[9])  # 40-char gap
         assert not extract_triples_row(ADVERSARIAL[10], mentions[10])  # 41
+
+
+@pytest.mark.parametrize("kind", ["rule", "neural"])
+def test_turn_rows_of_empty_and_mention_free_batches_are_typed(kind):
+    """Zero-row and mention-free batches give typed empty MENTIONS and
+    TRIPLES tables; a batch with mentions but no relation gives typed
+    empty triples."""
+    tagger = RuleTagger() if kind == "rule" else NeuralTagger(CKPT)
+    batch = _adversarial_batch()
+    # empty, null and whitespace-only texts have no token to tag
+    cases = [batch.slice(0, 0), batch.slice(0, 2), batch.slice(11, 1)]
+    if kind == "rule":  # the fixture model finds entities in plain words
+        cases.append(
+            pa.table(
+                {
+                    "conv_id": pa.array(["c0", "c0"], pa.string()),
+                    "turn_idx": pa.array([0, 1], pa.int32()),
+                    "text": pa.array(["nothing to see here .", "entirely plain text ."]),
+                }
+            )
+        )
+    for b in cases:
+        mentions, triples = turn_rows(b, tagger.annotate(b))
+        assert mentions.schema == MENTIONS and mentions.num_rows == 0
+        assert triples.schema == TRIPLES and triples.num_rows == 0
+    mentions, triples = turn_rows(batch.slice(7, 1), tagger.annotate(batch.slice(7, 1)))
+    assert mentions.schema == MENTIONS and triples.schema == TRIPLES
+    assert triples.num_rows == 0
+    if kind == "rule":
+        assert mentions["surface"].to_pylist() == ["Bob Stone"]
 
 
 def test_neural_bioes_codes_map_to_bio(turns):

@@ -19,7 +19,7 @@ import pandas as pd
 import pytest
 
 from neuroner_ray.pipelines import kg, kg_oracle
-from neuroner_ray.pipelines.kg_streamed import census_batch, run_pipeline_streamed
+from neuroner_ray.pipelines.kg_streamed import census_batch, finalize_distributed
 from neuroner_ray.sources.synth_transcripts import ensure_transcripts
 
 SF = 0.001
@@ -27,12 +27,15 @@ SF = 0.001
 
 @pytest.fixture(scope="module")
 def tables():
+    """The four tables built as ``__ray_entry__._kg_tables`` builds them:
+    one tagging pass, and the graph from its turn tables."""
     tdir = ensure_transcripts(SF) + "/transcripts"
-    g = run_pipeline_streamed(tdir)
-    tagged = kg.tag_turns(kg.read_transcripts(tdir)).materialize()
+    turns = kg.turn_tables(kg.read_transcripts(tdir))
+    census = turns["mentions"].map_batches(census_batch, batch_format="pyarrow")
+    g = finalize_distributed(census, turns["triples"], None)
     return tdir, {
-        "kg_mentions": kg.mentions_of(tagged).to_pandas(),
-        "kg_triples": kg.triples_of(tagged).to_pandas(),
+        "kg_mentions": turns["mentions"].to_pandas(),
+        "kg_triples": turns["triples"].to_pandas(),
         "kg_nodes": g["nodes"].to_pandas().drop(columns=["surfaces"]),
         "kg_edges": g["edges"].to_pandas().drop(columns=["provenance"]),
     }
@@ -76,7 +79,7 @@ def test_all_pairs_equals_blocked_candidates(tables):
     )
 
     tdir, _ = tables
-    mentions = kg.mentions_of(kg.tag_turns(kg.read_transcripts(tdir)))
+    mentions = kg.turn_tables(kg.read_transcripts(tdir))["mentions"]
     census = (
         mentions.map_batches(census_batch, batch_format="pyarrow")
         .groupby(["ent_type", "surface"])

@@ -13,14 +13,6 @@ from neuroner_ray.pipelines import kg, manifests
 from neuroner_ray.sources import synth_transcripts as synth
 
 
-def _table_fn(transcripts):
-    tagged = kg.tag_turns(transcripts)
-    return {
-        "mentions": kg.mentions_of(tagged),
-        "triples": kg.triples_of(tagged),
-    }
-
-
 CONFIG = {"tagger": "rule", "version": 1}
 
 
@@ -32,7 +24,7 @@ def tpath():
 
 def test_resume_skips_completed_and_matches_full_run(tpath, tmp_path):
     out_a = str(tmp_path / "full")
-    r1 = manifests.run_bucketed(tpath, out_a, _table_fn, CONFIG, num_buckets=4)
+    r1 = manifests.run_bucketed(tpath, out_a, kg.turn_tables, CONFIG, num_buckets=4)
     assert sorted(r1["processed"]) == [0, 1, 2, 3]
     # simulate a killed run: copy only 2 completed buckets' outputs+manifests
     out_b = str(tmp_path / "partial")
@@ -52,7 +44,7 @@ def test_resume_skips_completed_and_matches_full_run(tpath, tmp_path):
             os.path.join(manifests.manifest_dir(out_a), f"bucket={b}.json"),
             os.path.join(manifests.manifest_dir(out_b), f"bucket={b}.json"),
         )
-    r2 = manifests.run_bucketed(tpath, out_b, _table_fn, CONFIG, num_buckets=4)
+    r2 = manifests.run_bucketed(tpath, out_b, kg.turn_tables, CONFIG, num_buckets=4)
     assert sorted(r2["skipped"]) == [0, 2]
     assert sorted(r2["processed"]) == [1, 3]
     # resumed output identical to the full run
@@ -74,9 +66,9 @@ def test_resume_skips_completed_and_matches_full_run(tpath, tmp_path):
 
 def test_config_change_invalidates_manifests(tpath, tmp_path):
     out = str(tmp_path / "cfg")
-    manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=2)
+    manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=2)
     r = manifests.run_bucketed(
-        tpath, out, _table_fn, {**CONFIG, "version": 2}, num_buckets=2
+        tpath, out, kg.turn_tables, {**CONFIG, "version": 2}, num_buckets=2
     )
     assert r["skipped"] == []  # old manifests don't match the new config hash
     assert sorted(r["processed"]) == [0, 1]
@@ -84,7 +76,7 @@ def test_config_change_invalidates_manifests(tpath, tmp_path):
 
 def test_manifest_contents(tpath, tmp_path):
     out = str(tmp_path / "m")
-    manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=2)
+    manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=2)
     with open(os.path.join(manifests.manifest_dir(out), "bucket=0.json")) as f:
         m = json.load(f)
     assert m["row_counts"]["input_turns"] > 0
@@ -98,7 +90,7 @@ def test_finalize_graph_is_global_and_consistent(tpath, tmp_path, assert_golden_
     (the frozen golden, surfaces and provenance included): unique entity
     ids, summed edge weights, one canonical rep per cluster."""
     out = str(tmp_path / "two_phase")
-    manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=4)
+    manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=4)
     r = manifests.finalize_graph(out, CONFIG)
     assert not r["skipped"]
     assert_golden_graph(f"{out}/nodes", f"{out}/edges")
@@ -106,12 +98,29 @@ def test_finalize_graph_is_global_and_consistent(tpath, tmp_path, assert_golden_
     assert manifests.finalize_graph(out, CONFIG)["skipped"]
 
 
+def test_finalize_census_reads_only_type_and_surface(tpath, tmp_path, monkeypatch):
+    """The census input of ``finalize_graph`` holds exactly the two columns
+    it counts, not every MENTIONS column of every bucket."""
+    out = str(tmp_path / "census")
+    manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=1)
+    reads = {}
+    read_output = manifests.read_output
+
+    def spy(out_dir, table, **kwargs):
+        reads[table] = read_output(out_dir, table, **kwargs)
+        return reads[table]
+
+    monkeypatch.setattr(manifests, "read_output", spy)
+    manifests.finalize_graph(out, CONFIG)
+    assert reads["mentions"].schema().names == ["ent_type", "surface"]
+
+
 def test_refinalize_replaces_rather_than_appends(tpath, tmp_path):
     """A re-finalize (e.g. after a config change) must REPLACE nodes/edges,
     not mix files from two executions (round-1 advice: materialize_graph
     appends uniquely-named files)."""
     out = str(tmp_path / "refin")
-    manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=2)
+    manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=2)
     manifests.finalize_graph(out, CONFIG)
     import ray.data as rd
 
@@ -129,17 +138,17 @@ def test_bucketed_input_staged_once_and_reused(tpath, tmp_path):
     """The input is bucket-partitioned to disk ONCE (no corpus-sized
     object-store materialization) and the staging is reused on resume."""
     out = str(tmp_path / "staged")
-    manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=2)
+    manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=2)
     staged = os.path.join(out, "_bucketed")
     assert os.path.isdir(os.path.join(staged, "bucket=0"))
     marker = os.path.join(staged, "_DONE")
     mtime = os.path.getmtime(marker)
     # resume (all buckets done): staging must not be rebuilt
-    r = manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=2)
+    r = manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=2)
     assert r["processed"] == []
     assert os.path.getmtime(marker) == mtime
     # changing num_buckets invalidates the staging key
-    manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=4)
+    manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=4)
     assert os.path.isdir(os.path.join(staged, "bucket=3"))
 
 
@@ -166,10 +175,10 @@ def test_increment_namespaces_do_not_collide(tpath, tmp_path):
     """An increment ingest into an out_dir with legacy (un-namespaced)
     buckets must neither skip because of them nor disturb them."""
     out = str(tmp_path / "ns")
-    r1 = manifests.run_bucketed(tpath, out, _table_fn, CONFIG, num_buckets=2)
+    r1 = manifests.run_bucketed(tpath, out, kg.turn_tables, CONFIG, num_buckets=2)
     assert sorted(r1["processed"]) == [0, 1]
     r2 = manifests.run_bucketed(
-        tpath, out, _table_fn, CONFIG, num_buckets=2, increment="day2"
+        tpath, out, kg.turn_tables, CONFIG, num_buckets=2, increment="day2"
     )
     assert r2["processed"] == ["day2.0", "day2.1"]
     assert r2["skipped"] == []

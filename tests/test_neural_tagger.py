@@ -41,8 +41,7 @@ def test_heldout_conlleval_f1():
 
 def test_neural_pipeline_triple_pr(fixture_dir):
     tr = kg.read_transcripts(os.path.join(fixture_dir, "transcripts"))
-    tagged = kg.tag_turns(tr, tagger=NeuralTagger, tagger_args=(CKPT,))
-    got = kg.triples_of(tagged).to_pandas()
+    got = kg.turn_tables(tr, tagger=NeuralTagger, tagger_args=(CKPT,))["triples"].to_pandas()
     gold = pq.read_table(os.path.join(fixture_dir, "gold_triples.parquet"))
     cols = ["conv_id", "turn_idx", "subj", "pred", "obj", "subj_type", "obj_type"]
     got_set = set(map(tuple, got[cols].itertuples(index=False)))
@@ -53,24 +52,23 @@ def test_neural_pipeline_triple_pr(fixture_dir):
     assert precision >= 0.95 and recall >= 0.95, (precision, recall)
 
 
-def test_gpu_seam_builds_lazy_plan(fixture_dir):
+def test_gpu_seam_builds_lazy_plan(fixture_dir, monkeypatch):
     """num_gpus plumbs through to the tagger actor-pool map_batches as a
     lazy plan (no execution — a CPU-only box would otherwise wait forever
-    for a GPU). Guards the kwargs pass-through in tag_turns."""
+    for a GPU; ``materialize`` is stubbed to return the plan). Guards the
+    kwargs pass-through in turn_tables."""
     import ray.data as rd
 
     from ray.data import Dataset
 
+    monkeypatch.setattr(Dataset, "materialize", lambda self: self)
     tr = rd.from_items(
         [{"conv_id": "c0", "turn_idx": 0, "role": "user",
           "text": "hello", "tool": "", "ts": 0}]
     )
-    out = kg.tag_turns(tr, tagger=NeuralTagger, tagger_args=(CKPT,), num_gpus=1)
-    assert isinstance(out, Dataset)  # plan built; never executed
-    op = out._logical_plan.dag
-    assert op._ray_remote_args.get("num_gpus") == 1, op._ray_remote_args
-    # the gazetteer fast path must refuse rather than silently drop the GPU
-    import pytest
-
-    with pytest.raises(ValueError, match="num_gpus"):
-        kg.tag_turns(tr, num_gpus=1)
+    out = kg.turn_tables(tr, tagger=NeuralTagger, tagger_args=(CKPT,), num_gpus=1)
+    for table in out.values():  # plans built; never executed
+        op = table._logical_plan.dag
+        while "TurnRows" not in op.name:  # below the split's filter/project
+            op = op.input_dependencies[0]
+        assert op._ray_remote_args.get("num_gpus") == 1, op._ray_remote_args

@@ -29,9 +29,7 @@ def _key_set(tbl, cols):
 
 def test_mentions_match_gold(fixture_dir):
     tr = kg.read_transcripts(os.path.join(fixture_dir, "transcripts"))
-    tagged = kg.tag_turns(tr)
-    mentions = kg.mentions_of(tagged)
-    got = mentions.to_pandas()
+    got = kg.turn_tables(tr)["mentions"].to_pandas()
     gold = pq.read_table(os.path.join(fixture_dir, "gold_mentions.parquet"))
     cols = ["conv_id", "turn_idx", "ent_type", "start", "end", "surface"]
     got_set = set(map(tuple, got[cols].itertuples(index=False)))
@@ -41,9 +39,7 @@ def test_mentions_match_gold(fixture_dir):
 
 def test_triples_match_gold(fixture_dir):
     tr = kg.read_transcripts(os.path.join(fixture_dir, "transcripts"))
-    tagged = kg.tag_turns(tr)
-    triples = kg.triples_of(tagged)
-    got = triples.to_pandas()
+    got = kg.turn_tables(tr)["triples"].to_pandas()
     gold = pq.read_table(os.path.join(fixture_dir, "gold_triples.parquet"))
     cols = ["conv_id", "turn_idx", "subj", "pred", "obj", "subj_type", "obj_type"]
     got_set = set(map(tuple, got[cols].itertuples(index=False)))
@@ -95,7 +91,7 @@ def test_entity_free_input_yields_empty_graph(tmp_path):
     src = tmp_path / "tr"
     src.mkdir()
     pq.write_table(t, str(src / "part-0.parquet"))
-    assert kg.triples_of(kg.tag_turns(kg.read_transcripts(str(src)))).count() == 0
+    assert kg.turn_tables(kg.read_transcripts(str(src)))["triples"].count() == 0
     tables = run_pipeline_streamed(str(src))
     assert tables["nodes"].count() == 0
     assert tables["edges"].count() == 0
