@@ -8,12 +8,14 @@ batching (sequences sorted by length, lockstep LSTM over [B,T,·] arrays)
 and vectorized Viterbi — no per-sentence Python loop over timesteps×rows.
 
 The glue around the kernels is column-wise (see ``stages.tagger``): the
-batch is tokenized flat, token ids and char features are looked up once
-per distinct token of the batch, the padded ``[B,T]``/``[B,T,C]`` inputs
-are gathers from the flat arrays, and BIOES→BIO is a lookup table over
-label codes. A per-actor char-feature cache memoizes the char-BiLSTM
-output per unique token (the reference recomputes it per occurrence), and
-a per-actor sequence cache memoizes the label codes of whole turns.
+batch is tokenized flat, and token ids, char features and the token
+BiLSTM's input projection are computed once per distinct token of the
+batch (``state.model.input_tables``). Each bucket is a padded ``[B,T]``
+array of distinct-token indices that the kernels gather from, and
+BIOES→BIO is a lookup table over label codes. A per-actor char-feature
+cache memoizes the char-BiLSTM output per unique token (the reference
+recomputes it per occurrence), and a per-actor sequence cache memoizes
+the label codes of whole turns.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ..state.vocab import UNK
 from ..state.model import (
     char_features_unique,
     forward_scores_batch,
+    input_tables,
     viterbi_decode_batch,
 )
 from .tagger import LabelSet, Tagged, tokens_of_batch
@@ -67,7 +70,6 @@ class NeuralTagger:
             for k, v in self.params.items()
         }
         self.bucket_size = bucket_size
-        self.char_dim2 = 2 * self.params["char_Wh_f"].shape[0]
         # model label index → output label code: BIOES→BIO is a lookup
         # table, not a per-token string rewrite
         i2l = self.vocab.index_to_label
@@ -127,18 +129,13 @@ class NeuralTagger:
         t2i = self.vocab.token_to_index
         unk = t2i[UNK]
         tok_ids = np.array([t2i.get(t, unk) for t in distinct], dtype=np.int64)
-        feats = self._char_feats(distinct)
+        tables = input_tables(self.params, self._char_feats(distinct), tok_ids)
         for b in self._buckets(lengths):
             L = lengths[b]
             Tmax = int(L.max())
             mask = np.arange(Tmax)[None, :] < L[:, None]
             pos = np.where(mask, seq_off[b][:, None] + np.arange(Tmax)[None, :], 0)
-            tok_pad = np.where(mask, tok_ids[at[pos]], 0)
-            # float32 like the cached features: a float64 pad would force
-            # forward_scores to copy the whole [B,T,2H] array back down
-            chf_pad = feats[at[pos]]
-            chf_pad[~mask] = 0.0
-            U = forward_scores_batch(self.params, tok_pad, chf_pad, L)
+            U = forward_scores_batch(self.params, at[pos], tables, L)
             paths = viterbi_decode_batch(U, self.params["crf_A"], L)
             out[pos[mask]] = paths[mask]
         return self._lut[out]

@@ -11,9 +11,10 @@ differentiation in tests/test_model.py.
 
 Two forward paths:
 - per-sequence (training; exact gradients)
-- batched/padded (inference; used by the actor-pool tagger — sequences are
-  processed in lockstep so the inner loop is T matmuls of [B,·] arrays,
-  with a per-unique-token cache for the char BiLSTM)
+- batched (inference; the actor-pool tagger): each LSTM input term X@Wx + b
+  is computed once per key (character, or distinct token of a batch) into
+  a table; padded rows of keys gather from it and run T mask-free steps
+  of [B,·] matmuls in lockstep
 """
 
 from __future__ import annotations
@@ -180,9 +181,9 @@ def viterbi_decode_batch(U: np.ndarray, A: np.ndarray, lengths: np.ndarray):
         back[:, t] = amax
         # max gathered at the argmax — one pass over [B,C,C] instead of two
         best = np.take_along_axis(scores, amax[:, None, :], axis=1)[:, 0, :]
+        # rows past their length run on unmasked: only deltas[b, L-1] and
+        # back[b, t < L] are ever read
         delta = U[:, t, :] + best
-        active = (lengths > t)[:, None]
-        delta = np.where(active, delta, deltas[:, t - 1])  # freeze finished rows
         deltas[:, t] = delta
     # backtrace vectorized across the batch: each row's path starts at its
     # own L-1 (final-transition argmax), then every earlier step gathers
@@ -354,96 +355,90 @@ def sequence_loss_and_grads(
 
 
 # ---------------------------------------------------------------------------
-# Batched inference (lockstep over padded sequences)
+# Batched inference (padded rows of table keys, mask-free lockstep)
 # ---------------------------------------------------------------------------
 
 
-def _lstm_forward_batch(X: np.ndarray, mask: np.ndarray, Wx, Wh, b) -> np.ndarray:
-    """X:[B,T,D], mask:[B,T] → hs:[B,T,H]; finished rows keep state frozen.
+def _lstm_scan(Zx: np.ndarray, Wh: np.ndarray) -> np.ndarray:
+    """Zx:[B,T,4H] input terms (X@Wx + b) → hs:[B,T,H] from a zero state.
+    No mask: a row's state at t depends only on its steps before t, so the
+    states past a row's length are never read and need no freezing.
     Computes in the weights' dtype (float32 at inference — half the memory
     bandwidth, which is what caps multi-core numpy throughput)."""
-    B, T, D = X.shape
+    B, T, _ = Zx.shape
     H = Wh.shape[0]
-    dt = Wx.dtype
-    h = np.zeros((B, H), dtype=dt)
-    c = np.zeros((B, H), dtype=dt)
-    hs = np.zeros((B, T, H), dtype=dt)
-    # input projection hoisted out of the time loop: one [B*T, D] matmul
-    # instead of T small ones (the X@Wx term is the majority of the flops)
-    Zx = (X.reshape(B * T, D) @ Wx).reshape(B, T, 4 * H) + b
+    h = np.zeros((B, H), dtype=Wh.dtype)
+    c = np.zeros((B, H), dtype=Wh.dtype)
+    hs = np.empty((B, T, H), dtype=Wh.dtype)
     for t in range(T):
         z = Zx[:, t, :] + h @ Wh
         # i, f, o are contiguous along the gate axis — ONE sigmoid over
         # z[:, :3H] is bit-identical to three slice-wise calls and saves
         # two exp/clip dispatches per step (measurable at small H)
         ifo = _sigmoid(z[:, : 3 * H])
-        i = ifo[:, :H]
-        f = ifo[:, H : 2 * H]
-        o = ifo[:, 2 * H : 3 * H]
         g = np.tanh(z[:, 3 * H :])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        m = mask[:, t][:, None]
-        h = np.where(m, h_new, h)
-        c = np.where(m, c_new, c)
+        c = ifo[:, H : 2 * H] * c + ifo[:, :H] * g
+        h = ifo[:, 2 * H :] * np.tanh(c)
         hs[:, t, :] = h
     return hs
+
+
+def _bilstm(Zf: np.ndarray, Zb: np.ndarray, idx: np.ndarray, lengths: np.ndarray, Wh_f, Wh_b):
+    """Both directions over padded rows of table keys idx:[B,T], key k's
+    input term being row k of Zf / Zb → (hf, hb) on the forward time axis.
+    The backward pass reverses each row's first L keys (ints, not input
+    vectors); t → L-1-t is an involution, so the same map un-reverses hb."""
+    ar = np.arange(idx.shape[1])
+    rev = np.where(ar < lengths[:, None], lengths[:, None] - 1 - ar, ar)
+    hf = _lstm_scan(Zf[idx], Wh_f)
+    hb_rev = _lstm_scan(Zb[np.take_along_axis(idx, rev, axis=1)], Wh_b)
+    return hf, np.take_along_axis(hb_rev, rev[:, :, None], axis=1)
 
 
 def char_features_unique(
     p: dict, unique_char_ids: list[np.ndarray]
 ) -> np.ndarray:
-    """Char BiLSTM over a batch of (unique) tokens, padded to max length."""
+    """Char BiLSTM over a batch of (unique) tokens → [n, 2H] (zeros for a
+    token with no characters); input terms come from per-character tables."""
     H = p["char_Wh_f"].shape[0]
-    dt = p["char_emb"].dtype
     n = len(unique_char_ids)
     if n == 0:
-        return np.zeros((0, 2 * H), dtype=dt)
+        return np.zeros((0, 2 * H), dtype=p["char_emb"].dtype)
     lens = np.array([len(c) for c in unique_char_ids], dtype=np.int64)
-    Tmax = max(1, int(lens.max()))
-    D = p["char_emb"].shape[1]
-    Xf = np.zeros((n, Tmax, D), dtype=dt)
-    Xb = np.zeros((n, Tmax, D), dtype=dt)
-    mask = np.arange(Tmax)[None, :] < lens[:, None]
-    for i, ids in enumerate(unique_char_ids):
-        if len(ids) == 0:
-            continue
-        E = p["char_emb"][ids]
-        Xf[i, : len(ids)] = E
-        Xb[i, : len(ids)] = E[::-1]
-    hf = _lstm_forward_batch(Xf, mask, p["char_Wx_f"], p["char_Wh_f"], p["char_b_f"])
-    hb = _lstm_forward_batch(Xb, mask, p["char_Wx_b"], p["char_Wh_b"], p["char_b_b"])
-    idx = np.maximum(lens - 1, 0)
-    out = np.concatenate([hf[np.arange(n), idx], hb[np.arange(n), idx]], axis=1)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    # the trailing 0 gives padding slots a valid character to point at
+    flat = np.concatenate([np.asarray(c, dtype=np.int64) for c in unique_char_ids] + [[0]])
+    ar = np.arange(max(1, int(lens.max())))
+    idx = flat[np.where(ar < lens[:, None], off[:-1, None] + ar, off[-1])]
+    E = p["char_emb"]
+    Zf, Zb = (E @ p[f"char_Wx_{d}"] + p[f"char_b_{d}"] for d in "fb")
+    hf, hb = _bilstm(Zf, Zb, idx, lens, p["char_Wh_f"], p["char_Wh_b"])
+    # final states: forward at t = L-1, backward (un-reversed) at t = 0
+    out = np.concatenate([hf[np.arange(n), np.maximum(lens - 1, 0)], hb[:, 0]], axis=1)
     out[lens == 0] = 0.0
     return out
 
 
+def input_tables(
+    p: dict, char_feats: np.ndarray, tok_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Token-BiLSTM input terms X@Wx + b of both directions, one row per
+    distinct token (X = char features ++ token embedding): X depends only
+    on the token, so each distinct token is projected once."""
+    X = np.concatenate([char_feats, p["tok_emb"][tok_ids]], axis=1).astype(
+        p["tok_emb"].dtype, copy=False
+    )
+    return tuple(X @ p[f"tok_Wx_{d}"] + p[f"tok_b_{d}"] for d in "fb")
+
+
 def forward_scores_batch(
-    p: dict,
-    token_ids_padded: np.ndarray,
-    char_feat_padded: np.ndarray,
-    lengths: np.ndarray,
+    p: dict, idx: np.ndarray, tables: tuple, lengths: np.ndarray
 ) -> np.ndarray:
-    """Padded batch → unary scores [B, Tmax, C] (no dropout at inference)."""
-    B, Tmax = token_ids_padded.shape
-    dt = p["tok_emb"].dtype
-    mask = np.arange(Tmax)[None, :] < lengths[:, None]
-    TE = p["tok_emb"][token_ids_padded]
-    X = np.concatenate([char_feat_padded.astype(dt, copy=False), TE], axis=2)
-    hf = _lstm_forward_batch(X, mask, p["tok_Wx_f"], p["tok_Wh_f"], p["tok_b_f"])
-    # backward direction: per-row reversal within each length, vectorized —
-    # the index map t → L-1-t (t < L) is an involution, so it both builds
-    # the reversed input and un-reverses the output
-    ar = np.arange(Tmax)
-    rev = np.where(
-        ar[None, :] < lengths[:, None], lengths[:, None] - 1 - ar[None, :], ar[None, :]
-    )
-    Xb = np.take_along_axis(X, rev[:, :, None], axis=1)
-    hb_rev = _lstm_forward_batch(
-        Xb, mask, p["tok_Wx_b"], p["tok_Wh_b"], p["tok_b_b"]
-    )
-    hb = np.take_along_axis(hb_rev, rev[:, :, None], axis=1)
+    """Padded rows of ``input_tables`` row indices idx:[B,T] (any valid
+    index past a row's length) → unary scores [B,T,C], valid up to each
+    length; no dropout at inference."""
+    hf, hb = _bilstm(*tables, idx, lengths, p["tok_Wh_f"], p["tok_Wh_b"])
     Hcat = np.concatenate([hf, hb], axis=2)
     Z = np.tanh(Hcat @ p["ff_W"] + p["ff_b"])
     return Z @ p["out_W"] + p["out_b"]

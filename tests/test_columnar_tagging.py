@@ -38,6 +38,7 @@ from neuroner_ray.stages.triples import extract_triples_row, turn_rows
 from neuroner_ray.state.model import (
     char_features_unique,
     forward_scores_batch,
+    input_tables,
     viterbi_decode_batch,
 )
 
@@ -87,21 +88,22 @@ def _adversarial_batch() -> pa.Table:
 
 def _kernel_labels(tagger: NeuralTagger, seqs: list[list[str]]) -> list[list[str]]:
     """Per-row glue around the unchanged kernels: ids and char features
-    stacked row by row into length-sorted padded buckets of 256."""
+    built row by row, one input-table row per token slot (no sharing
+    between equal tokens), in length-sorted padded buckets of 256."""
     out: list[list[str]] = [[] for _ in seqs]
     order = [i for i in sorted(range(len(seqs)), key=lambda i: len(seqs[i])) if seqs[i]]
     p, vocab = tagger.params, tagger.vocab
     for lo in range(0, len(order), 256):
         rows = order[lo : lo + 256]
         lengths = np.array([len(seqs[i]) for i in rows], dtype=np.int64)
-        tok_pad = np.zeros((len(rows), lengths.max()), dtype=np.int64)
-        chf_pad = np.zeros((len(rows), lengths.max(), tagger.char_dim2), np.float32)
+        idx = np.zeros((len(rows), lengths.max()), dtype=np.int64)
+        tok_ids, feats = [], []
         for r, i in enumerate(rows):
-            tok_pad[r, : lengths[r]] = [vocab.token_index(t) for t in seqs[i]]
-            chf_pad[r, : lengths[r]] = char_features_unique(
-                p, [vocab.char_indices(t) for t in seqs[i]]
-            )
-        U = forward_scores_batch(p, tok_pad, chf_pad, lengths)
+            idx[r, : lengths[r]] = len(tok_ids) + np.arange(lengths[r])
+            tok_ids += [vocab.token_index(t) for t in seqs[i]]
+            feats.append(char_features_unique(p, [vocab.char_indices(t) for t in seqs[i]]))
+        tables = input_tables(p, np.concatenate(feats), np.array(tok_ids))
+        U = forward_scores_batch(p, idx, tables, lengths)
         paths = viterbi_decode_batch(U, p["crf_A"], lengths)
         for r, i in enumerate(rows):
             out[i] = [vocab.index_to_label[j] for j in paths[r, : lengths[r]]]

@@ -5,6 +5,7 @@ parity with the per-sequence path."""
 from __future__ import annotations
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from neuroner_ray.state.model import (
     forward_scores,
     forward_scores_batch,
     init_params,
+    input_tables,
     sequence_loss_and_grads,
     viterbi_decode,
     viterbi_decode_batch,
@@ -111,29 +113,73 @@ def test_viterbi_vs_brute_force():
 
 
 def test_batched_inference_matches_sequential():
+    """Batched kernels (per-distinct-token input tables gathered by padded
+    index rows) equal per-sequence forward_scores + viterbi_decode in
+    float64, unaries and paths. Rows are not sorted by length; one has
+    length 1; tokens repeat within and across rows; the UNK token (id 0)
+    and a token with no characters both occur; the padding holds arbitrary
+    valid indices, which must not matter."""
     rng = np.random.RandomState(4)
     p = _tiny_params(seed=5)
-    seqs = []
-    for _ in range(7):
-        T = rng.randint(1, 9)
-        tok_ids = rng.randint(0, 8, size=T)
-        char_ids = [rng.randint(0, 6, size=rng.randint(1, 5)) for _ in range(T)]
-        seqs.append((tok_ids, char_ids))
-    # sequential
-    seq_paths = []
-    for tok_ids, char_ids in seqs:
-        U, _ = forward_scores(p, tok_ids, char_ids)
-        seq_paths.append(viterbi_decode(U, p["crf_A"]))
-    # batched
-    lengths = np.array([len(s[0]) for s in seqs])
-    Tmax = lengths.max()
-    Hc2 = 2 * p["char_Wh_f"].shape[0]
-    tok_pad = np.zeros((len(seqs), Tmax), dtype=np.int64)
-    char_feat_pad = np.zeros((len(seqs), Tmax, Hc2))
-    for i, (tok_ids, char_ids) in enumerate(seqs):
-        tok_pad[i, : len(tok_ids)] = tok_ids
-        char_feat_pad[i, : len(tok_ids)] = char_features_unique(p, char_ids)
-    U = forward_scores_batch(p, tok_pad, char_feat_pad, lengths)
+    p["crf_A"] = rng.randn(*p["crf_A"].shape)
+    # distinct tokens: (token id, char ids); 0 is UNK, 3 has no characters
+    distinct = [
+        (0, np.array([1, 2])),
+        (5, np.array([3])),
+        (2, np.array([4, 4, 1, 5])),
+        (7, np.array([], dtype=np.int64)),
+        (3, np.array([2, 5, 1])),
+        (1, np.array([0, 3])),
+    ]
+    seqs = [
+        np.array([2, 4, 4, 1, 0]),
+        np.array([3]),
+        np.array([5, 2, 2, 3, 0, 1, 4, 2]),
+        np.array([1, 1]),
+        np.array([4, 0, 3, 5, 2, 4, 1]),
+        np.array([0, 2, 5]),
+    ]
+    tok_ids = np.array([t for t, _ in distinct])
+    char_ids = [c for _, c in distinct]
+    lengths = np.array([len(s) for s in seqs])
+    idx = rng.randint(0, len(distinct), size=(len(seqs), lengths.max()))
+    for i, s in enumerate(seqs):
+        idx[i, : len(s)] = s
+    feats = char_features_unique(p, char_ids)
+    tables = input_tables(p, feats, tok_ids)
+    U = forward_scores_batch(p, idx, tables, lengths)
     paths = viterbi_decode_batch(U, p["crf_A"], lengths)
-    for i, sp in enumerate(seq_paths):
-        assert list(paths[i, : lengths[i]]) == list(sp)
+    for i, s in enumerate(seqs):
+        U_seq, _ = forward_scores(p, tok_ids[s], [char_ids[k] for k in s])
+        np.testing.assert_allclose(U[i, : len(s)], U_seq, rtol=1e-12, atol=1e-12)
+        assert list(paths[i, : len(s)]) == list(viterbi_decode(U_seq, p["crf_A"]))
+
+
+def test_tagger_matches_per_sentence_predict():
+    """The actor tagger (float32, bucketed, cached) labels the first 512
+    distinct token sequences of the benchmark input exactly as
+    ``state.train.predict``, the float64 one-sentence-at-a-time reference."""
+    import pyarrow as pa
+
+    from neuroner_ray.functions.tokenize import tokenize_text
+    from neuroner_ray.sources import synth_transcripts as synth
+    from neuroner_ray.stages.neural_tagger import NeuralTagger
+    from neuroner_ray.state.checkpoint import load_checkpoint
+    from neuroner_ray.state.train import predict
+
+    ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint_bench")
+    tr, _, _ = synth.generate(100, first_conv=6000)
+    first_text: dict[tuple, str] = {}
+    for text in tr["text"].to_pylist():
+        seq = tuple(w for w, _, _ in tokenize_text(text)) if text else ()
+        if seq:
+            first_text.setdefault(seq, text)
+    assert len(first_text) >= 512
+    seqs = list(first_text)[:512]
+    texts = [first_text[s] for s in seqs]
+    tagged = NeuralTagger(ckpt, emit_bio=False).annotate(pa.table({"text": texts}))
+    names = tagged.labels.names.take(tagged.codes).to_pylist()
+    off = tagged.tokens.row_offsets
+    params, vocab = load_checkpoint(ckpt)
+    for i, seq in enumerate(seqs):
+        assert names[off[i] : off[i + 1]] == predict(params, vocab, list(seq)), seq
