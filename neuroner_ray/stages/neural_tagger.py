@@ -3,16 +3,18 @@
 Reference inference path: src/train.py::prediction_step (≈L60–L160) — one
 sentence at a time through EntityLSTM + viterbi_decode. Here it is a
 callable class for ``map_batches``: weights + vocab load once per actor
-(``__init__``), each Arrow batch of turns is tagged with bucketed padded
-batching (sequences sorted by length, lockstep LSTM over [B,T,·] arrays)
-and vectorized Viterbi — no per-sentence Python loop over timesteps×rows.
+(``__init__``), and each Arrow batch of turns is tagged by one BiLSTM call
+over all of its new sequences (steps shared along their prefix and suffix
+tries, ``state.model.forward_scores_batch``) and a vectorized Viterbi over
+length-sorted buckets — no per-sentence Python loop over timesteps×rows.
 
 The glue around the kernels is column-wise (see ``stages.tagger``): the
 batch is tokenized flat, and token ids, char features and the token
 BiLSTM's input projection are computed once per distinct token of the
-batch (``state.model.input_tables``). Each bucket is a padded ``[B,T]``
-array of distinct-token indices that the kernels gather from, and
-BIOES→BIO is a lookup table over label codes. A per-actor char-feature
+batch (``state.model.input_tables``). The BiLSTM reads the sequences'
+distinct-token indices back to back and returns one row of unary scores
+per token; each Viterbi bucket gathers its padded ``[B,T,C]`` from them,
+and BIOES→BIO is a lookup table over label codes. A per-actor char-feature
 cache memoizes the char-BiLSTM output per unique token (the reference
 recomputes it per occurrence), and a per-actor sequence cache memoizes
 the label codes of whole turns.
@@ -115,7 +117,7 @@ class NeuralTagger:
 
     def _tag_sequences(self, tokens: FlatTokens, rows: np.ndarray) -> np.ndarray:
         """Label codes of the given rows' tokens, back to back in ``rows``
-        order, from length-bucketed padded batches."""
+        order: one BiLSTM call over all rows, Viterbi in length buckets."""
         offsets = tokens.row_offsets
         lengths = offsets[rows + 1] - offsets[rows]
         seq_off = np.zeros(rows.size + 1, dtype=np.int64)
@@ -130,13 +132,13 @@ class NeuralTagger:
         unk = t2i[UNK]
         tok_ids = np.array([t2i.get(t, unk) for t in distinct], dtype=np.int64)
         tables = input_tables(self.params, self._char_feats(distinct), tok_ids)
+        U = forward_scores_batch(self.params, at, tables, lengths)
         for b in self._buckets(lengths):
             L = lengths[b]
             Tmax = int(L.max())
             mask = np.arange(Tmax)[None, :] < L[:, None]
             pos = np.where(mask, seq_off[b][:, None] + np.arange(Tmax)[None, :], 0)
-            U = forward_scores_batch(self.params, at[pos], tables, L)
-            paths = viterbi_decode_batch(U, self.params["crf_A"], L)
+            paths = viterbi_decode_batch(U[pos], self.params["crf_A"], L)
             out[pos[mask]] = paths[mask]
         return self._lut[out]
 

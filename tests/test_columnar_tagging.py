@@ -88,23 +88,24 @@ def _adversarial_batch() -> pa.Table:
 
 def _kernel_labels(tagger: NeuralTagger, seqs: list[list[str]]) -> list[list[str]]:
     """Per-row glue around the unchanged kernels: ids and char features
-    built row by row, one input-table row per token slot (no sharing
-    between equal tokens), in length-sorted padded buckets of 256."""
+    built row by row, one input-table row per token slot (no two slots
+    share a key, so no prefix or suffix is shared either), in length-sorted
+    buckets of 256 rows laid back to back."""
     out: list[list[str]] = [[] for _ in seqs]
     order = [i for i in sorted(range(len(seqs)), key=lambda i: len(seqs[i])) if seqs[i]]
     p, vocab = tagger.params, tagger.vocab
     for lo in range(0, len(order), 256):
         rows = order[lo : lo + 256]
         lengths = np.array([len(seqs[i]) for i in rows], dtype=np.int64)
-        idx = np.zeros((len(rows), lengths.max()), dtype=np.int64)
         tok_ids, feats = [], []
-        for r, i in enumerate(rows):
-            idx[r, : lengths[r]] = len(tok_ids) + np.arange(lengths[r])
+        for i in rows:
             tok_ids += [vocab.token_index(t) for t in seqs[i]]
             feats.append(char_features_unique(p, [vocab.char_indices(t) for t in seqs[i]]))
         tables = input_tables(p, np.concatenate(feats), np.array(tok_ids))
-        U = forward_scores_batch(p, idx, tables, lengths)
-        paths = viterbi_decode_batch(U, p["crf_A"], lengths)
+        U = forward_scores_batch(p, np.arange(len(tok_ids)), tables, lengths)
+        ar = np.arange(lengths.max())
+        pos = np.where(ar < lengths[:, None], (np.cumsum(lengths) - lengths)[:, None] + ar, 0)
+        paths = viterbi_decode_batch(U[pos], p["crf_A"], lengths)
         for r, i in enumerate(rows):
             out[i] = [vocab.index_to_label[j] for j in paths[r, : lengths[r]]]
     return out

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from neuroner_ray.state.model import (
-    crf_log_likelihood,
+    char_features,
     char_features_unique,
+    crf_log_likelihood,
     forward_scores,
     forward_scores_batch,
     init_params,
@@ -113,12 +114,15 @@ def test_viterbi_vs_brute_force():
 
 
 def test_batched_inference_matches_sequential():
-    """Batched kernels (per-distinct-token input tables gathered by padded
-    index rows) equal per-sequence forward_scores + viterbi_decode in
-    float64, unaries and paths. Rows are not sorted by length; one has
-    length 1; tokens repeat within and across rows; the UNK token (id 0)
-    and a token with no characters both occur; the padding holds arbitrary
-    valid indices, which must not matter."""
+    """Batched kernels (per-distinct-token input tables, one level-wise
+    recurrence over the rows' prefix and suffix tries) equal per-sequence
+    forward_scores + viterbi_decode in float64, unaries and paths. The rows
+    share prefixes and suffixes, one is a strict prefix and one a strict
+    suffix of another, one appears twice, one has length 1 and one length
+    0, and they are not sorted by length; tokens repeat within and across
+    rows, and the UNK token (id 0) and a token with no characters occur.
+    Run once as is (every trie stops sharing before its last depth) and
+    once with the longest row repeated (its last depth is still shared)."""
     rng = np.random.RandomState(4)
     p = _tiny_params(seed=5)
     p["crf_A"] = rng.randn(*p["crf_A"].shape)
@@ -132,27 +136,57 @@ def test_batched_inference_matches_sequential():
         (1, np.array([0, 3])),
     ]
     seqs = [
-        np.array([2, 4, 4, 1, 0]),
-        np.array([3]),
-        np.array([5, 2, 2, 3, 0, 1, 4, 2]),
-        np.array([1, 1]),
-        np.array([4, 0, 3, 5, 2, 4, 1]),
-        np.array([0, 2, 5]),
+        [2, 4, 4, 1, 0],
+        [3],
+        [5, 2, 2, 3, 0, 1, 4, 2],
+        [1, 1],
+        [2, 4, 5, 3],  # shares the prefix [2, 4] with row 0
+        [],
+        [1, 3, 0, 1, 4, 2],  # shares the suffix [3, 0, 1, 4, 2] with row 2
+        [2, 4, 4],  # strict prefix of row 0
+        [1, 1],  # row 3 again
+        [4, 0, 3, 5, 2, 4, 1],
+        [4, 2],  # strict suffix of row 2
+        [0, 2, 5],
     ]
     tok_ids = np.array([t for t, _ in distinct])
     char_ids = [c for _, c in distinct]
+    for rows in (seqs, seqs + [seqs[2]]):
+        _check_batched(p, tok_ids, char_ids, rows)
+
+
+def _check_batched(p, tok_ids, char_ids, seqs):
     lengths = np.array([len(s) for s in seqs])
-    idx = rng.randint(0, len(distinct), size=(len(seqs), lengths.max()))
-    for i, s in enumerate(seqs):
-        idx[i, : len(s)] = s
+    off = np.concatenate([[0], np.cumsum(lengths)])
+    at = np.concatenate([np.array(s, dtype=np.int64) for s in seqs])
     feats = char_features_unique(p, char_ids)
     tables = input_tables(p, feats, tok_ids)
-    U = forward_scores_batch(p, idx, tables, lengths)
-    paths = viterbi_decode_batch(U, p["crf_A"], lengths)
+    U = forward_scores_batch(p, at, tables, lengths)
+    assert U.shape == (at.size, p["out_b"].size)
+    # Viterbi over a padded gather of the flat unaries, as the tagger does
+    ar = np.arange(lengths.max())
+    mask = ar < lengths[:, None]
+    paths = viterbi_decode_batch(U[np.where(mask, off[:-1, None] + ar, 0)], p["crf_A"], lengths)
     for i, s in enumerate(seqs):
+        if not s:
+            continue
         U_seq, _ = forward_scores(p, tok_ids[s], [char_ids[k] for k in s])
-        np.testing.assert_allclose(U[i, : len(s)], U_seq, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(U[off[i] : off[i + 1]], U_seq, rtol=1e-12, atol=1e-12)
         assert list(paths[i, : len(s)]) == list(viterbi_decode(U_seq, p["crf_A"]))
+
+
+def test_char_features_unique_matches_per_token():
+    """The char BiLSTM over distinct tokens whose characters share prefixes
+    and suffixes (ab, abc, cab, b, bab) and a token with no characters
+    equals the per-token ``char_features`` in float64."""
+    p = _tiny_params(seed=6)
+    a, b, c = 1, 2, 3
+    tokens = [[a, b], [a, b, c], [c, a, b], [b], [], [b, a, b]]
+    ids = [np.array(t, dtype=np.int64) for t in tokens]
+    got = char_features_unique(p, ids)
+    want, _ = char_features(p, ids)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert not got[4].any()
 
 
 def test_tagger_matches_per_sentence_predict():
@@ -183,3 +217,37 @@ def test_tagger_matches_per_sentence_predict():
     params, vocab = load_checkpoint(ckpt)
     for i, seq in enumerate(seqs):
         assert names[off[i] : off[i + 1]] == predict(params, vocab, list(seq)), seq
+
+
+def test_long_turn_among_bench_turns_tagged_as_alone():
+    """A 5,000-token turn among 2,000 benchmark turns is labelled exactly as
+    when it is tagged alone, and tagging the batch stays under 64 MB of
+    traced allocations: the trie levels cost O(tokens), where one padded
+    [rows, max length] index array alone would take 80 MB."""
+    import tracemalloc
+
+    import pyarrow as pa
+
+    from neuroner_ray.functions.tokenize import tokenize_text
+    from neuroner_ray.sources import synth_transcripts as synth
+    from neuroner_ray.stages.neural_tagger import NeuralTagger
+
+    ckpt = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint_bench")
+    texts = synth.generate(400, first_conv=6000)[0]["text"].to_pylist()
+    words: list[str] = []
+    for text in texts[2000:]:
+        words += [w for w, _, _ in tokenize_text(text or "")]
+    long_turn = " ".join(words[:5000])
+    batch = pa.table({"text": texts[:1000] + [long_turn] + texts[1000:2000]})
+    tagger = NeuralTagger(ckpt)
+    tracemalloc.start()
+    try:
+        tagged = tagger.annotate(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    alone = NeuralTagger(ckpt).annotate(pa.table({"text": [long_turn]}))
+    off = tagged.tokens.row_offsets
+    assert off[1001] - off[1000] == 5000
+    assert np.array_equal(tagged.codes[off[1000] : off[1001]], alone.codes)
