@@ -5,19 +5,18 @@ sentence at a time through EntityLSTM + viterbi_decode. Here it is a
 callable class for ``map_batches``: weights + vocab load once per actor
 (``__init__``), and each Arrow batch of turns is tagged by one BiLSTM call
 over all of its new sequences (steps shared along their prefix and suffix
-tries, ``state.model.forward_scores_batch``) and a vectorized Viterbi over
-length-sorted buckets — no per-sentence Python loop over timesteps×rows.
+tries, ``state.model.forward_scores_batch``) and one Viterbi call over
+the same rows (``state.model.viterbi_decode_batch``) — no per-sentence
+Python loop over timesteps×rows, and no padded array.
 
 The glue around the kernels is column-wise (see ``stages.tagger``): the
 batch is tokenized flat, and token ids, char features and the token
 BiLSTM's input projection are computed once per distinct token of the
 batch (``state.model.input_tables``). The BiLSTM reads the sequences'
 distinct-token indices back to back and returns one row of unary scores
-per token; each Viterbi bucket gathers its padded ``[B,T,C]`` from them,
-and BIOES→BIO is a lookup table over label codes. A per-actor char-feature
-cache memoizes the char-BiLSTM output per unique token (the reference
-recomputes it per occurrence), and a per-actor sequence cache memoizes
-the label codes of whole turns.
+per token, Viterbi decodes those rows in place, and BIOES→BIO is a
+lookup table over label codes. A per-actor sequence cache memoizes the
+label codes of whole turns.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .tagger import LabelSet, Tagged, tokens_of_batch
 # and processes launched elsewhere must find the same fixture checkpoint
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 DEFAULT_CHECKPOINT = os.path.join(_REPO_ROOT, "tests", "fixtures", "checkpoint")
-_CACHE_MAX = 200_000  # unique tokens cached per actor
 _SEQ_CACHE_MAX = 100_000  # unique token SEQUENCES (whole turns) per actor
 
 
@@ -62,7 +60,6 @@ class NeuralTagger:
         self,
         checkpoint_dir: str = DEFAULT_CHECKPOINT,
         emit_bio: bool = True,
-        bucket_size: int = 256,
     ):
         self.params, self.vocab = load_checkpoint(resolve_checkpoint(checkpoint_dir))
         # inference in float32: identical decisions at these score margins,
@@ -71,7 +68,6 @@ class NeuralTagger:
             k: v.astype(np.float32) if v.dtype == np.float64 else v
             for k, v in self.params.items()
         }
-        self.bucket_size = bucket_size
         # model label index → output label code: BIOES→BIO is a lookup
         # table, not a per-token string rewrite
         i2l = self.vocab.index_to_label
@@ -79,68 +75,25 @@ class NeuralTagger:
         uniq = list(dict.fromkeys(names))
         self.labels = LabelSet(uniq)
         self._lut = np.array([uniq.index(n) for n in names], dtype=np.int64)
-        self._char_cache: dict[str, np.ndarray] = {}
         self._seq_cache_clear()
-
-    # -- char features with per-unique-token memoization -------------------
-    def _char_feats(self, distinct: list[str]) -> np.ndarray:
-        """[len(distinct), C] char features, one row per distinct token."""
-        # evict BEFORE inserting this batch's tokens, so the entries the
-        # stack below depends on are never cleared out from under it
-        if len(self._char_cache) > _CACHE_MAX:
-            self._char_cache.clear()
-        missing = [t for t in distinct if t not in self._char_cache]
-        if missing:
-            ids = [self.vocab.char_indices(t) for t in missing]
-            feats = char_features_unique(self.params, ids)
-            for t, f in zip(missing, feats):
-                self._char_cache[t] = f
-        return np.stack([self._char_cache[t] for t in distinct])
-
-    _MAX_BUCKET_AREA = 400_000  # rows × padded length cap (bounds [B,T,C] RAM)
-
-    def _buckets(self, lengths: np.ndarray):
-        """Length-sorted buckets (stable order, empty sequences skipped)
-        capped by row count AND padded area, so one pathological 10k-token
-        turn can't force a huge padded batch. Yields sequence indices."""
-        order = np.argsort(lengths, kind="stable")
-        order = order[lengths[order] > 0]
-        sl = lengths[order]
-        i = 0
-        while i < order.size:
-            # bucket [i, i+k): lengths ascend, so k rows pad to sl[i+k-1]
-            k = np.arange(1, min(self.bucket_size, order.size - i) + 1)
-            fits = k * sl[i : i + k.size] <= self._MAX_BUCKET_AREA
-            k_max = max(1, int(np.argmin(fits)) if not fits.all() else k.size)
-            yield order[i : i + k_max]
-            i += k_max
 
     def _tag_sequences(self, tokens: FlatTokens, rows: np.ndarray) -> np.ndarray:
         """Label codes of the given rows' tokens, back to back in ``rows``
-        order: one BiLSTM call over all rows, Viterbi in length buckets."""
+        order: one BiLSTM call and one Viterbi call over all rows."""
         offsets = tokens.row_offsets
         lengths = offsets[rows + 1] - offsets[rows]
-        seq_off = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=seq_off[1:])
-        out = np.zeros(int(seq_off[-1]), dtype=np.int64)
-        if out.size == 0:
-            return out
         enc = tokens.text.take(concat_ranges(offsets[rows], lengths)).dictionary_encode()
         at = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         distinct = enc.dictionary.to_pylist()
         t2i = self.vocab.token_to_index
         unk = t2i[UNK]
         tok_ids = np.array([t2i.get(t, unk) for t in distinct], dtype=np.int64)
-        tables = input_tables(self.params, self._char_feats(distinct), tok_ids)
+        char_feats = char_features_unique(
+            self.params, [self.vocab.char_indices(t) for t in distinct]
+        )
+        tables = input_tables(self.params, char_feats, tok_ids)
         U = forward_scores_batch(self.params, at, tables, lengths)
-        for b in self._buckets(lengths):
-            L = lengths[b]
-            Tmax = int(L.max())
-            mask = np.arange(Tmax)[None, :] < L[:, None]
-            pos = np.where(mask, seq_off[b][:, None] + np.arange(Tmax)[None, :], 0)
-            paths = viterbi_decode_batch(U[pos], self.params["crf_A"], L)
-            out[pos[mask]] = paths[mask]
-        return self._lut[out]
+        return self._lut[viterbi_decode_batch(U, self.params["crf_A"], lengths)]
 
     def _seq_cache_clear(self) -> None:
         self._seq_keys = pa.array([], pa.string())
@@ -154,8 +107,8 @@ class NeuralTagger:
         deterministic per token sequence, so identical turns need one
         forward pass per actor, not one per occurrence. Keys identify the
         token sequence; the memo is Arrow (keys) + NumPy (codes), looked up
-        with ``index_in``. Same clear-at-cap policy as the char cache
-        (bounded actor heap)."""
+        with ``index_in``. Cleared when it holds more than
+        ``_SEQ_CACHE_MAX`` keys (bounded actor heap)."""
         if len(self._seq_keys) > _SEQ_CACHE_MAX:
             self._seq_cache_clear()
         enc = keys.dictionary_encode()

@@ -16,7 +16,8 @@ Two forward paths:
   a table. Rows of keys, laid back to back with no padding, share LSTM
   steps: the forward direction runs over the rows' prefix trie and the
   backward one over their suffix trie, one step per depth for all of that
-  depth's distinct prefixes (suffixes) at once
+  depth's distinct prefixes (suffixes) at once. Viterbi steps the same
+  rows level-wise over their flat unary scores (``viterbi_decode_batch``)
 """
 
 from __future__ import annotations
@@ -170,42 +171,38 @@ def viterbi_decode(U: np.ndarray, A: np.ndarray) -> np.ndarray:
     return path
 
 
-def viterbi_decode_batch(U: np.ndarray, A: np.ndarray, lengths: np.ndarray):
-    """Vectorized-across-batch Viterbi. U:[B,Tmax,C]; returns [B,Tmax] paths
-    (valid up to each length)."""
-    B, Tmax, C = U.shape
-    start, end = C, C + 1
-    delta = U[:, 0, :] + A[start, :C][None, :]
-    back = np.zeros((B, Tmax, C), dtype=np.int64)
-    deltas = np.zeros((B, Tmax, C))
-    deltas[:, 0] = delta
-    for t in range(1, Tmax):
-        scores = delta[:, :, None] + A[:C, :C][None, :, :]  # [B, C_prev, C]
+def viterbi_decode_batch(U: np.ndarray, A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Viterbi over rows of unary scores laid back to back. U:[N,C] (row r
+    is the next ``lengths[r]`` positions) → label path [N], one per
+    position. One step per depth for every row still alive there (rows
+    longest first), back-pointers per flat position in the smallest
+    unsigned dtype that holds C-1; no padded array is built."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    N, C = U.shape
+    path = np.zeros(N, dtype=np.int64)
+    if N == 0:
+        return path
+    start, alive = _rows_longest_first(lengths)
+    back = np.empty((N, C), dtype=np.min_scalar_type(C - 1))
+    delta = U[start[: alive[0]]] + A[C, :C]
+    final = np.empty((alive[0], C))  # each row's last delta, float64 as the end add
+    for t in range(1, alive.size):
+        n = alive[t]
+        final[n : len(delta)] = delta[n:]  # rows that ended at depth t-1
+        pos = start[:n] + t
+        scores = delta[:n, :, None] + A[:C, :C]  # [n, C_prev, C]
         amax = scores.argmax(axis=1)
-        back[:, t] = amax
-        # max gathered at the argmax — one pass over [B,C,C] instead of two
-        best = np.take_along_axis(scores, amax[:, None, :], axis=1)[:, 0, :]
-        # rows past their length run on unmasked: only deltas[b, L-1] and
-        # back[b, t < L] are ever read
-        delta = U[:, t, :] + best
-        deltas[:, t] = delta
-    # backtrace vectorized across the batch: each row's path starts at its
-    # own L-1 (final-transition argmax), then every earlier step gathers
-    # back-pointers for all rows still inside their sequence
-    paths = np.zeros((B, Tmax), dtype=np.int64)
-    nz = lengths > 0
-    if not nz.any():
-        return paths
-    idx_last = np.maximum(lengths - 1, 0)
-    final = deltas[np.arange(B), idx_last] + A[:C, end][None, :]
-    last = final.argmax(axis=1)
-    paths[np.flatnonzero(nz), idx_last[nz]] = last[nz]
-    for t in range(Tmax - 1, 0, -1):
-        rows = np.flatnonzero(lengths - 1 >= t)
-        if rows.size == 0:
-            continue
-        paths[rows, t - 1] = back[rows, t, paths[rows, t]]
-    return paths
+        back[pos] = amax
+        # max gathered at the argmax — one pass over [n,C,C] instead of two
+        delta = U[pos] + np.take_along_axis(scores, amax[:, None, :], axis=1)[:, 0, :]
+    final[: len(delta)] = delta
+    # each row's last position: longest-first lengths are the sorted lengths
+    last = start[: alive[0]] + np.sort(lengths)[::-1][: alive[0]] - 1
+    path[last] = (final + A[:C, C + 1]).argmax(axis=1)
+    for t in range(alive.size - 1, 0, -1):
+        pos = start[: alive[t]] + t
+        path[pos - 1] = back[pos, path[pos]]
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +360,17 @@ def sequence_loss_and_grads(
 # ---------------------------------------------------------------------------
 
 
+def _rows_longest_first(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layout of rows laid back to back (row r is the next ``lengths[r]``
+    flat positions), visited longest first: ``start`` holds the rows' first
+    positions in that order (ties in row order), and ``alive[t]`` counts
+    the rows longer than t, so the rows alive at depth t are the first
+    ``alive[t]``."""
+    start = (np.cumsum(lengths) - lengths)[np.argsort(-lengths, kind="stable")]
+    alive = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    return start, alive
+
+
 def _trie_levels(keys: np.ndarray, lengths: np.ndarray):
     """Prefix trie of rows of table keys laid back to back (row r is the
     next ``lengths[r]`` entries of ``keys``). A forward LSTM state at
@@ -383,9 +391,8 @@ def _trie_levels(keys: np.ndarray, lengths: np.ndarray):
     levels: list = []
     if keys.size == 0:
         return levels, node
-    T = int(lengths.max())
-    start = (np.cumsum(lengths) - lengths)[np.argsort(-lengths, kind="stable")]
-    alive = lengths.size - np.cumsum(np.bincount(lengths))[:T]
+    start, alive = _rows_longest_first(lengths)
+    T = alive.size
     K = int(keys.max()) + 1
     inv = np.zeros(int(alive[0]), dtype=np.int64)  # alive row → node at t-1
     base = 0

@@ -39,7 +39,7 @@ from neuroner_ray.state.model import (
     char_features_unique,
     forward_scores_batch,
     input_tables,
-    viterbi_decode_batch,
+    viterbi_decode,
 )
 
 CKPT = os.path.join(os.path.dirname(__file__), "fixtures", "checkpoint")
@@ -87,28 +87,23 @@ def _adversarial_batch() -> pa.Table:
 
 
 def _kernel_labels(tagger: NeuralTagger, seqs: list[list[str]]) -> list[list[str]]:
-    """Per-row glue around the unchanged kernels: ids and char features
-    built row by row, one input-table row per token slot (no two slots
-    share a key, so no prefix or suffix is shared either), in length-sorted
-    buckets of 256 rows laid back to back."""
-    out: list[list[str]] = [[] for _ in seqs]
-    order = [i for i in sorted(range(len(seqs)), key=lambda i: len(seqs[i])) if seqs[i]]
+    """Per-row glue around the kernels: ids and char features built row by
+    row, one input-table row per token slot (no two slots share a key, so
+    no prefix or suffix is shared either), and each row decoded alone by
+    the per-sequence ``viterbi_decode`` over its slice of the unaries."""
     p, vocab = tagger.params, tagger.vocab
-    for lo in range(0, len(order), 256):
-        rows = order[lo : lo + 256]
-        lengths = np.array([len(seqs[i]) for i in rows], dtype=np.int64)
-        tok_ids, feats = [], []
-        for i in rows:
-            tok_ids += [vocab.token_index(t) for t in seqs[i]]
-            feats.append(char_features_unique(p, [vocab.char_indices(t) for t in seqs[i]]))
-        tables = input_tables(p, np.concatenate(feats), np.array(tok_ids))
-        U = forward_scores_batch(p, np.arange(len(tok_ids)), tables, lengths)
-        ar = np.arange(lengths.max())
-        pos = np.where(ar < lengths[:, None], (np.cumsum(lengths) - lengths)[:, None] + ar, 0)
-        paths = viterbi_decode_batch(U[pos], p["crf_A"], lengths)
-        for r, i in enumerate(rows):
-            out[i] = [vocab.index_to_label[j] for j in paths[r, : lengths[r]]]
-    return out
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    tok_ids, feats = [], []
+    for s in seqs:
+        tok_ids += [vocab.token_index(t) for t in s]
+        feats.append(char_features_unique(p, [vocab.char_indices(t) for t in s]))
+    tables = input_tables(p, np.concatenate(feats), np.array(tok_ids, dtype=np.int64))
+    U = forward_scores_batch(p, np.arange(len(tok_ids)), tables, lengths)
+    off = np.concatenate([[0], np.cumsum(lengths)])
+    return [
+        [vocab.index_to_label[j] for j in viterbi_decode(U[lo:hi], p["crf_A"])] if hi > lo else []
+        for lo, hi in zip(off[:-1], off[1:])
+    ]
 
 
 def _reference(batches: list[pa.Table], kind: str, tagger) -> tuple[list, list, list]:

@@ -9,6 +9,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neuroner_ray.state.model import (
     char_features,
@@ -163,16 +165,42 @@ def _check_batched(p, tok_ids, char_ids, seqs):
     tables = input_tables(p, feats, tok_ids)
     U = forward_scores_batch(p, at, tables, lengths)
     assert U.shape == (at.size, p["out_b"].size)
-    # Viterbi over a padded gather of the flat unaries, as the tagger does
-    ar = np.arange(lengths.max())
-    mask = ar < lengths[:, None]
-    paths = viterbi_decode_batch(U[np.where(mask, off[:-1, None] + ar, 0)], p["crf_A"], lengths)
+    path = viterbi_decode_batch(U, p["crf_A"], lengths)
+    assert path.shape == (at.size,)
     for i, s in enumerate(seqs):
         if not s:
             continue
         U_seq, _ = forward_scores(p, tok_ids[s], [char_ids[k] for k in s])
         np.testing.assert_allclose(U[off[i] : off[i + 1]], U_seq, rtol=1e-12, atol=1e-12)
-        assert list(paths[i, : len(s)]) == list(viterbi_decode(U_seq, p["crf_A"]))
+        assert list(path[off[i] : off[i + 1]]) == list(viterbi_decode(U_seq, p["crf_A"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 12), max_size=10),
+    C=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(lengths=[0, 0, 0], C=3, seed=0)  # every row empty
+@example(lengths=[1], C=4, seed=1)  # one row of length 1
+@example(lengths=[5, 1, 12, 3, 9, 0, 2, 11, 7, 4, 10, 6, 8], C=5, seed=2)  # a row ends at every depth
+@example(lengths=[2, 7, 7, 1, 7, 0, 4], C=3, seed=3)  # ties, unsorted
+@example(lengths=[6, 1, 9, 4], C=300, seed=4)  # back-pointers above one byte
+def test_flat_viterbi_matches_per_row(lengths, C, seed):
+    """The flat ``viterbi_decode_batch`` over rows laid back to back equals
+    the per-row ``viterbi_decode`` of each row's slice, on random float64
+    unaries and transitions (NumPy only). With 300 labels a back-pointer
+    needs two bytes."""
+    rng = np.random.RandomState(seed)
+    U = rng.randn(sum(lengths), C)
+    A = rng.randn(C + 2, C + 2)
+    path = viterbi_decode_batch(U, A, np.array(lengths, dtype=np.int64))
+    assert path.shape == (U.shape[0],)
+    off = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    for i in range(len(lengths)):
+        if lengths[i]:
+            want = viterbi_decode(U[off[i] : off[i + 1]], A)
+            assert list(path[off[i] : off[i + 1]]) == list(want), (i, lengths)
 
 
 def test_char_features_unique_matches_per_token():
@@ -190,7 +218,7 @@ def test_char_features_unique_matches_per_token():
 
 
 def test_tagger_matches_per_sentence_predict():
-    """The actor tagger (float32, bucketed, cached) labels the first 512
+    """The actor tagger (float32, flat Viterbi, sequence-cached) labels the first 512
     distinct token sequences of the benchmark input exactly as
     ``state.train.predict``, the float64 one-sentence-at-a-time reference."""
     import pyarrow as pa
@@ -219,11 +247,14 @@ def test_tagger_matches_per_sentence_predict():
         assert names[off[i] : off[i + 1]] == predict(params, vocab, list(seq)), seq
 
 
-def test_long_turn_among_bench_turns_tagged_as_alone():
-    """A 5,000-token turn among 2,000 benchmark turns is labelled exactly as
-    when it is tagged alone, and tagging the batch stays under 64 MB of
-    traced allocations: the trie levels cost O(tokens), where one padded
-    [rows, max length] index array alone would take 80 MB."""
+@pytest.mark.parametrize("n_long", [5000, 1645])
+def test_long_turn_among_bench_turns_tagged_as_alone(n_long):
+    """A long turn among 2,000 benchmark turns is labelled exactly as when
+    it is tagged alone, and tagging the batch stays under 40 MB of traced
+    allocations: the trie levels and the flat Viterbi cost O(tokens), where
+    one padded [rows, max length] index array alone would take 80 MB at
+    5,000 tokens. At 1,645 tokens, padding the long row together with a
+    few hundred short rows to its length would exceed the bound."""
     import tracemalloc
 
     import pyarrow as pa
@@ -237,7 +268,7 @@ def test_long_turn_among_bench_turns_tagged_as_alone():
     words: list[str] = []
     for text in texts[2000:]:
         words += [w for w, _, _ in tokenize_text(text or "")]
-    long_turn = " ".join(words[:5000])
+    long_turn = " ".join(words[:n_long])
     batch = pa.table({"text": texts[:1000] + [long_turn] + texts[1000:2000]})
     tagger = NeuralTagger(ckpt)
     tracemalloc.start()
@@ -246,8 +277,8 @@ def test_long_turn_among_bench_turns_tagged_as_alone():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20, peak
+    assert peak < 40 * 2**20, peak
     alone = NeuralTagger(ckpt).annotate(pa.table({"text": [long_turn]}))
     off = tagged.tokens.row_offsets
-    assert off[1001] - off[1000] == 5000
+    assert off[1001] - off[1000] == n_long
     assert np.array_equal(tagged.codes[off[1000] : off[1001]], alone.codes)
