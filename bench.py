@@ -82,8 +82,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
 
     timings: dict[str, float] = {}
 
-    # headline: the reference-faithful pipeline — BiLSTM-CRF actor-pool
-    # tagger (north_star's mention-detection core), triples, linking,
+    # headline: the reference-faithful pipeline — BiLSTM-CRF tagger
+    # (north_star's mention-detection core), triples, linking,
     # canonicalization, graph materialize
     from neuroner_ray.stages.neural_tagger import NeuralTagger
 
@@ -91,8 +91,9 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
                         "tests", "fixtures", "checkpoint_bench")
     from neuroner_ray.pipelines.kg_streamed import run_pipeline_streamed
 
-    # actor pool sizing: 3/4 of the CPUs tag, the rest feed reads/reduces —
-    # the same fraction at every parallelism level (fair scaling comparison)
+    # tagging cap: at most 3/4 of the CPUs tag at once (the stage's tasks
+    # run on the warm worker pool), the rest feed reads/reduces — the same
+    # fraction at every parallelism level (fair scaling comparison)
     pool = max(2, (3 * num_cpus) // 4)
     out_dir = f"/tmp/bench_graph_sf{sf:g}_{num_cpus}"
     import shutil
@@ -322,7 +323,7 @@ def main() -> None:
                     "speedup": round(speedup, 3),
                     "sf": r_lo["sf"],
                     "n_turns": r_lo["n_turns"],
-                    "note": f"single host, 32 cores; N vs 4N evidenced as num_cpus={lo} vs {hi} in fresh processes, identical 3/4 actor-pool fraction, headline pipeline on {mult}x-scale transcripts",
+                    "note": f"single host, 32 cores; N vs 4N evidenced as num_cpus={lo} vs {hi} in fresh processes, identical 3/4 tagging fraction, headline pipeline on {mult}x-scale transcripts",
                 }
             )
         )

@@ -70,7 +70,7 @@ def main() -> int:
             transcripts,
             tagger=tagger,
             tagger_args=tagger_args,
-            concurrency=(cfg.tagger_concurrency_min, cfg.tagger_concurrency_max),
+            concurrency=cfg.tagger_concurrency_max,
             batch_size=cfg.tagger_batch_size,
         )
 

@@ -41,7 +41,6 @@ class PipelineConfig:
     check_for_lowercase: bool = True
     check_for_digits_replaced_with_zeros: bool = True
     # Ray-stage sizing (replaces number_of_cpu_threads / number_of_gpus)
-    tagger_concurrency_min: int = 1
     tagger_concurrency_max: int = 8
     tagger_batch_size: int = 1024
     num_output_buckets: int = 16
@@ -56,8 +55,6 @@ class PipelineConfig:
             raise ValueError(f"bad optimizer: {self.optimizer}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.tagger_concurrency_min > self.tagger_concurrency_max:
-            raise ValueError("tagger concurrency min > max")
 
     @classmethod
     def from_ini(cls, path: str, overrides: dict | None = None) -> "PipelineConfig":

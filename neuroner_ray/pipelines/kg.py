@@ -4,13 +4,15 @@ The engine is ``kg_streamed.run_pipeline_streamed``: one Ray-Data pass
 from transcripts to nodes and edges. This module holds what it and the
 per-turn table consumers share:
 
-- ``read_transcripts`` and ``turn_tables``: one actor-pool tagging pass
-  that emits the per-turn mentions (M3) and triples (M11), built
-  column-wise from the tagger's ``Tagged`` result by
-  ``stages.triples.turn_rows`` (the rows the engine's ``FusedAnnotator``
-  builds its partials from). The resumable bucket runs
-  (``manifests.run_bucketed``: the CLI and ``run_incremental``) persist
-  them, and ``kg_streamed.finalize_distributed`` turns them into a graph;
+- ``map_annotator``: the one tagging stage, a task stage on Ray's warm
+  worker pool that builds the annotator (and its tagger) per batch;
+- ``read_transcripts`` and ``turn_tables``: one tagging pass that emits
+  the per-turn mentions (M3) and triples (M11), built column-wise from
+  the tagger's ``Tagged`` result by ``stages.triples.turn_rows`` (the rows
+  the engine's ``FusedAnnotator`` builds its partials from). The
+  resumable bucket runs (``manifests.run_bucketed``: the CLI and
+  ``run_incremental``) persist them, and
+  ``kg_streamed.finalize_distributed`` turns them into a graph;
 - linking off a surface census (J4 blocking → A6 union-find → nodes),
   driver-side below ``SMALL_VOCAB_MAX`` distinct surfaces;
 - ``run_incremental``: conversation-disjoint arrivals through the bucket
@@ -65,8 +67,8 @@ def union_rows(schema: pa.Schema, kind: str, table: pa.Table) -> pa.Table:
 
 
 class TurnRows:
-    """Actor-pool stage wrapping a tagger: batch of raw turns → its MENTIONS
-    and TRIPLES rows (``stages.triples.turn_rows``) as one union table."""
+    """Annotator wrapping a tagger: batch of raw turns → its MENTIONS and
+    TRIPLES rows (``stages.triples.turn_rows``) as one union table."""
 
     def __init__(self, tagger_cls: Any = RuleTagger, tagger_args: tuple = ()):
         self.tagger = tagger_cls(*tagger_args)
@@ -84,6 +86,43 @@ class TurnRows:
         )
 
 
+def annotate_batch(
+    batch: pa.Table, annotator: type, tagger: Any, tagger_args: tuple
+) -> pa.Table:
+    """One tagging task: ``annotator(tagger, tagger_args)`` applied to one
+    batch. The tagger is built per batch (a few ms: trie build / weight
+    load) and nothing outlives the batch."""
+    return annotator(tagger, tagger_args)(batch)
+
+
+def map_annotator(
+    ds: Dataset,
+    annotator: type,
+    tagger: Any,
+    tagger_args: tuple,
+    concurrency: Any,
+    batch_size: int,
+    num_gpus: float = 0,
+) -> Dataset:
+    """The KG engine's tagging stage: ``annotate_batch`` as a Ray Data task
+    stage, so it runs on the warm task workers (which already hold
+    ``ray.data``) instead of actors started in fresh processes on every
+    call. ``concurrency`` is an int or a ``(min, max)`` pair; at most that
+    int, or the pair's max, batches are tagged at once. ``num_gpus`` is the
+    north_star GPU seam: pass e.g. 1 (or 0.5 for packing) on a GPU cluster
+    and Ray schedules each tagging task on a GPU; the NumPy taggers here
+    never ask for one, so the default is 0."""
+    gpu_kwargs = {"num_gpus": num_gpus} if num_gpus else {}
+    return ds.map_batches(
+        annotate_batch,
+        fn_args=(annotator, tagger, tagger_args),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=max(concurrency) if isinstance(concurrency, tuple) else concurrency,
+        **gpu_kwargs,
+    )
+
+
 def turn_tables(
     transcripts: Dataset,
     tagger: Any = RuleTagger,
@@ -95,21 +134,12 @@ def turn_tables(
     """The per-turn tables of one tagging pass: {"mentions" (M3),
     "triples" (M11)}.
 
-    One actor-pool stage (``TurnRows``) tags each batch once and emits both
-    row kinds; its output is materialized once and split by kind, so the
-    two tables never re-run the tagger. ``num_gpus`` is the north_star
-    GPU-actor seam: pass e.g. 1 (or 0.5 for packing) on a GPU cluster and
-    Ray schedules each tagger actor on a GPU; the NumPy taggers here never
-    ask for one (this engine is CPU-only by default), so the default is 0.
+    One tagging stage (``map_annotator`` over ``TurnRows``) tags each batch
+    once and emits both row kinds; its output is materialized once and
+    split by kind, so the two tables never re-run the tagger.
     """
-    gpu_kwargs = {"num_gpus": num_gpus} if num_gpus else {}
-    rows = transcripts.map_batches(
-        TurnRows,
-        fn_constructor_args=(tagger, tagger_args),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        **gpu_kwargs,
+    rows = map_annotator(
+        transcripts, TurnRows, tagger, tagger_args, concurrency, batch_size, num_gpus
     ).materialize()
     return {
         name: rows.filter(expr=f"kind == '{name}'").select_columns(schema.names)

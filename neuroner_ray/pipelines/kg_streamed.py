@@ -1,10 +1,12 @@
 """The KG engine: one Ray-Data pass from transcripts to nodes and edges.
 
-One fused stage streams the corpus and emits only fixed-width *partials*:
-census counts plus one slim row per distinct (surface-triple, conv_id,
-turn_idx) instance (within-batch dedup; globally distinct because each
-turn lives in exactly one batch). No unbounded list payloads, and the
-corpus is never pinned in the object store. The fused stage is
+One fused tagging stage (``kg.map_annotator`` over ``FusedAnnotator``, a
+task stage on Ray's warm worker pool that builds the tagger per batch)
+streams the corpus and emits only fixed-width *partials*: census counts
+plus one slim row per distinct (surface-triple, conv_id, turn_idx)
+instance (within-batch dedup; globally distinct because each turn lives
+in exactly one batch). No unbounded list payloads, and the corpus is
+never pinned in the object store. The fused stage is
 column-wise end to end: the tagger's flat ``Tagged`` result (tokens,
 label codes, mention spans) becomes the batch's MENTIONS and TRIPLES rows
 (``stages.triples.turn_rows``, the same rows ``kg.turn_tables`` persists),
@@ -60,7 +62,7 @@ from ..stages.graph import (
 )
 from ..stages.tagger import RuleTagger
 from ..sources.parquet import pin_empty, read_parquet_clean
-from .kg import TurnRows, _link_from_census, read_transcripts, union_rows
+from .kg import TurnRows, _link_from_census, map_annotator, read_transcripts, union_rows
 
 # Fixed-width union schema: census rows ("c") use (ent_type, surface, n);
 # instance rows ("e") use the TRIPLES column names (subj..obj_type,
@@ -125,7 +127,7 @@ def _partials(mentions: pa.Table, triples: pa.Table) -> pa.Table:
 
 
 class FusedAnnotator(TurnRows):
-    """Actor-pool stage wrapping a tagger (anything with
+    """Annotator wrapping a tagger (anything with
     ``annotate(batch) -> Tagged``): batch of raw turns → partials.
 
     The batch's per-turn rows (``TurnRows.rows``) feed ``_partials``
@@ -234,16 +236,8 @@ def run_pipeline_streamed(
     from it lazily); callers may delete it after consuming the graph.
     """
     transcripts = read_transcripts(transcripts_path)
-    # num_gpus is the GPU-actor seam (north_star): on a GPU cluster each
-    # fused-annotator actor reserves a GPU share; 0 (default) on CPU boxes
-    gpu_kwargs = {"num_gpus": num_gpus} if num_gpus else {}
-    partials = transcripts.map_batches(
-        FusedAnnotator,
-        fn_constructor_args=(tagger, tagger_args),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        **gpu_kwargs,
+    partials = map_annotator(
+        transcripts, FusedAnnotator, tagger, tagger_args, concurrency, batch_size, num_gpus
     )
 
     if transcripts.count() <= SMALL_INPUT_TURNS_MAX:  # metadata-only count

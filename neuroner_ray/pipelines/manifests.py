@@ -177,7 +177,7 @@ def run_bucketed(
         if os.path.isdir(bdir):
             part = read_parquet_clean(bdir).drop_columns(["bucket"])
         else:  # no conversation hashed into this bucket: one empty block
-            # (an actor-pool stage given no block at all warns)
+            # (a tagging stage given no block at all warns)
             part = rd.from_arrow(TRANSCRIPTS.empty_table())
         n_in = part.count()
         tables = table_fn(part)

@@ -1,13 +1,14 @@
-"""T2/T3 as a Ray actor-pool stage: the NumPy BiLSTM-CRF tagger.
+"""T2/T3 as a Ray Data stage: the NumPy BiLSTM-CRF tagger.
 
 Reference inference path: src/train.py::prediction_step (≈L60–L160) — one
 sentence at a time through EntityLSTM + viterbi_decode. Here it is a
-callable class for ``map_batches``: weights + vocab load once per actor
-(``__init__``), and each Arrow batch of turns is tagged by one BiLSTM call
-over all of its new sequences (steps shared along their prefix and suffix
-tries, ``state.model.forward_scores_batch``) and one Viterbi call over
-the same rows (``state.model.viterbi_decode_batch``) — no per-sentence
-Python loop over timesteps×rows, and no padded array.
+callable class: ``__init__`` loads weights + vocab (a few ms; the KG
+engine builds one per batch in its task stage, ``kg.map_annotator``), and
+each Arrow batch of turns is tagged by one BiLSTM call over its distinct
+sequences (steps shared along their prefix and suffix tries,
+``state.model.forward_scores_batch``) and one Viterbi call over the same
+rows (``state.model.viterbi_decode_batch``) — no per-sentence Python
+loop over timesteps×rows, and no padded array.
 
 The glue around the kernels is column-wise (see ``stages.tagger``): the
 batch is tokenized flat, and token ids, char features and the token
@@ -15,8 +16,8 @@ BiLSTM's input projection are computed once per distinct token of the
 batch (``state.model.input_tables``). The BiLSTM reads the sequences'
 distinct-token indices back to back and returns one row of unary scores
 per token, Viterbi decodes those rows in place, and BIOES→BIO is a
-lookup table over label codes. A per-actor sequence cache memoizes the
-label codes of whole turns.
+lookup table over label codes. Turns with the same token sequence are
+tagged once per batch.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .tagger import LabelSet, Tagged, tokens_of_batch
 # and processes launched elsewhere must find the same fixture checkpoint
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 DEFAULT_CHECKPOINT = os.path.join(_REPO_ROOT, "tests", "fixtures", "checkpoint")
-_SEQ_CACHE_MAX = 100_000  # unique token SEQUENCES (whole turns) per actor
 
 
 def resolve_checkpoint(path: str) -> str:
@@ -54,7 +54,7 @@ def resolve_checkpoint(path: str) -> str:
 
 class NeuralTagger:
     """``ds.map_batches(NeuralTagger, fn_constructor_args=(ckpt_dir,),
-    batch_format="pyarrow", concurrency=N)``."""
+    batch_format="pyarrow", concurrency=N)``, or called on a batch."""
 
     def __init__(
         self,
@@ -75,7 +75,6 @@ class NeuralTagger:
         uniq = list(dict.fromkeys(names))
         self.labels = LabelSet(uniq)
         self._lut = np.array([uniq.index(n) for n in names], dtype=np.int64)
-        self._seq_cache_clear()
 
     def _tag_sequences(self, tokens: FlatTokens, rows: np.ndarray) -> np.ndarray:
         """Label codes of the given rows' tokens, back to back in ``rows``
@@ -95,46 +94,20 @@ class NeuralTagger:
         U = forward_scores_batch(self.params, at, tables, lengths)
         return self._lut[viterbi_decode_batch(U, self.params["crf_A"], lengths)]
 
-    def _seq_cache_clear(self) -> None:
-        self._seq_keys = pa.array([], pa.string())
-        self._seq_offsets = np.zeros(1, dtype=np.int64)
-        self._seq_codes = np.zeros(0, dtype=np.int64)
-
     def _codes(self, tokens: FlatTokens, keys: pa.Array) -> np.ndarray:
-        """Per-actor memo over whole turns: transcripts repeat turn text
-        heavily (~54% duplicate turns in the synthetic corpus;
-        greetings/acks dominate real ones too), and the tagger is
-        deterministic per token sequence, so identical turns need one
-        forward pass per actor, not one per occurrence. Keys identify the
-        token sequence; the memo is Arrow (keys) + NumPy (codes), looked up
-        with ``index_in``. Cleared when it holds more than
-        ``_SEQ_CACHE_MAX`` keys (bounded actor heap)."""
-        if len(self._seq_keys) > _SEQ_CACHE_MAX:
-            self._seq_cache_clear()
+        """Label codes of every row, each distinct token sequence tagged
+        once: transcripts repeat turn text heavily (~54% duplicate turns in
+        the synthetic corpus; greetings/acks dominate real ones too), and
+        the tagger is deterministic per token sequence. The sequence keys
+        are dictionary-encoded, the first row of each key is tagged, and
+        the rows gather their key's codes."""
         enc = keys.dictionary_encode()
         row_key = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        slot = (
-            pc.index_in(enc.dictionary, value_set=self._seq_keys)
-            .fill_null(-1)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        new = np.flatnonzero(slot < 0)  # distinct keys, first-appearance order
-        if new.size:
-            _, first_row = np.unique(row_key, return_index=True)
-            rows = first_row[new]
-            codes = self._tag_sequences(tokens, rows)
-            slot[new] = len(self._seq_keys) + np.arange(new.size)
-            self._seq_keys = pa.concat_arrays([self._seq_keys, enc.dictionary.take(new)])
-            lengths = tokens.row_offsets[rows + 1] - tokens.row_offsets[rows]
-            self._seq_offsets = np.concatenate(
-                [self._seq_offsets, self._seq_offsets[-1] + np.cumsum(lengths)]
-            )
-            self._seq_codes = np.concatenate([self._seq_codes, codes])
-        s = slot[row_key]
-        return self._seq_codes[
-            concat_ranges(self._seq_offsets[s], self._seq_offsets[s + 1] - self._seq_offsets[s])
-        ]
+        _, first_row = np.unique(row_key, return_index=True)
+        codes = self._tag_sequences(tokens, first_row)
+        lengths = np.diff(tokens.row_offsets)[first_row]
+        starts = np.cumsum(lengths) - lengths
+        return codes[concat_ranges(starts[row_key], lengths[row_key])]
 
     def annotate(self, batch: pa.Table) -> Tagged:
         tokens = tokens_of_batch(batch)

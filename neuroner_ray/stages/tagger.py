@@ -1,8 +1,8 @@
 """Sequence-tagging stages: gazetteer rule tagger + column-wise span assembly.
 
 The reference's inference path (EP2: src/train.py::prediction_step ≈L60–L160
-over an EntityLSTM) is embarrassingly parallel over sentences; here it is an
-actor-pool ``map_batches`` stage over Arrow batches of turns. Two tagger
+over an EntityLSTM) is embarrassingly parallel over sentences; here it is a
+``map_batches`` stage over Arrow batches of turns. Two tagger
 implementations share the same contract (tokens in → BIO labels out):
 
 - ``RuleTagger`` (this module): deterministic gazetteer longest-match —
@@ -21,9 +21,10 @@ it into the per-turn MENTIONS and TRIPLES rows that both the engine's
 ``FusedAnnotator`` and ``pipelines.kg.turn_tables`` build on.
 ``tag_tokens``/``mentions_from_labels`` are the per-row reference forms.
 
-Both run as Ray actor pools (the one scheduling form for taggers):
-expensive setup (trie build / weight load) happens once per actor in
-``__init__``, not per batch.
+Both are callable classes whose setup (trie build / weight load) costs a
+few ms: the KG engine builds them per batch inside a task stage on Ray's
+warm worker pool (``pipelines.kg.map_annotator``), which is cheaper than
+starting actors in fresh processes on every call.
 """
 
 from __future__ import annotations
@@ -184,12 +185,12 @@ class Tagged:
 
 
 class RuleTagger:
-    """Actor-pool stage: turns → +labels +mentions (gazetteer longest-match).
+    """Tagger: turns → +labels +mentions (gazetteer longest-match).
 
-    Use as ``ds.map_batches(RuleTagger, batch_format="pyarrow",
-    concurrency=N)``; the match trie is built once per actor. Accepts raw
-    turns (tokenizes inline — the fused fast path) or pre-tokenized batches
-    with a ``tokens`` column.
+    Call it on a batch, or map it as ``ds.map_batches(RuleTagger,
+    batch_format="pyarrow", concurrency=N)``. Accepts raw turns (tokenizes
+    inline — the fused fast path) or pre-tokenized batches with a
+    ``tokens`` column.
 
     Matching is ``tag_tokens`` column-wise: every position whose token
     starts a gazetteer surface takes its first matching candidate (trie

@@ -9,8 +9,8 @@ sequence strictly between them is looked up in a fixed predicate lexicon;
 a hit emits ``(subj_surface, pred, obj_surface)`` with the mention types.
 
 ``extract_triples_row`` is the per-row reference. The pipelines run
-``triples_flat`` over a batch's ``Tagged`` result inside the tagger's
-actor stage, and ``turn_rows`` builds the batch's MENTIONS and TRIPLES
+``triples_flat`` over a batch's ``Tagged`` result inside the tagging
+stage, and ``turn_rows`` builds the batch's MENTIONS and TRIPLES
 rows from it column-wise — the one source of per-turn rows for the engine
 (``kg_streamed.FusedAnnotator``) and the persisted tables
 (``kg.turn_tables``). The lexicon is a module constant; no shuffle, no

@@ -11,7 +11,7 @@ differentiation in tests/test_model.py.
 
 Two forward paths:
 - per-sequence (training; exact gradients)
-- batched (inference; the actor-pool tagger): each LSTM input term X@Wx + b
+- batched (inference; the batch tagger): each LSTM input term X@Wx + b
   is computed once per key (character, or distinct token of a batch) into
   a table. Rows of keys, laid back to back with no padding, share LSTM
   steps: the forward direction runs over the rows' prefix trie and the

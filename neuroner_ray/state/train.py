@@ -1,5 +1,5 @@
 """Tiny driver-side trainer (SURVEY.md T4/T6) — produces the frozen fixture
-checkpoint the actor-pool tagger loads.
+checkpoint the neural tagger loads.
 
 Reference: src/train.py::train_step (≈L20–L60) — one sentence per SGD step,
 gradient clipping by value 5.0, dropout 0.5 on the token-LSTM input;

@@ -218,7 +218,7 @@ def test_char_features_unique_matches_per_token():
 
 
 def test_tagger_matches_per_sentence_predict():
-    """The actor tagger (float32, flat Viterbi, sequence-cached) labels the first 512
+    """The batch tagger (float32, flat Viterbi, per-batch sequence dedup) labels the first 512
     distinct token sequences of the benchmark input exactly as
     ``state.train.predict``, the float64 one-sentence-at-a-time reference."""
     import pyarrow as pa

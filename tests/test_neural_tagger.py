@@ -53,22 +53,31 @@ def test_neural_pipeline_triple_pr(fixture_dir):
 
 
 def test_gpu_seam_builds_lazy_plan(fixture_dir, monkeypatch):
-    """num_gpus plumbs through to the tagger actor-pool map_batches as a
-    lazy plan (no execution — a CPU-only box would otherwise wait forever
-    for a GPU; ``materialize`` is stubbed to return the plan). Guards the
-    kwargs pass-through in turn_tables."""
+    """num_gpus plumbs through to the tagging stage as a lazy plan (no
+    execution — a CPU-only box would otherwise wait forever for a GPU;
+    ``materialize`` is stubbed to return the plan), and that stage is a
+    task stage on the warm worker pool capped at the concurrency's max,
+    not an actor pool started per call. Guards the kwargs pass-through in
+    turn_tables."""
     import ray.data as rd
 
     from ray.data import Dataset
+    from ray.data._internal.compute import TaskPoolStrategy
 
     monkeypatch.setattr(Dataset, "materialize", lambda self: self)
     tr = rd.from_items(
         [{"conv_id": "c0", "turn_idx": 0, "role": "user",
           "text": "hello", "tool": "", "ts": 0}]
     )
-    out = kg.turn_tables(tr, tagger=NeuralTagger, tagger_args=(CKPT,), num_gpus=1)
-    for table in out.values():  # plans built; never executed
-        op = table._logical_plan.dag
-        while "TurnRows" not in op.name:  # below the split's filter/project
-            op = op.input_dependencies[0]
-        assert op._ray_remote_args.get("num_gpus") == 1, op._ray_remote_args
+    for concurrency, cap in (((1, 4), 4), (3, 3)):
+        out = kg.turn_tables(
+            tr, tagger=NeuralTagger, tagger_args=(CKPT,),
+            concurrency=concurrency, num_gpus=1,
+        )
+        for table in out.values():  # plans built; never executed
+            op = table._logical_plan.dag
+            while "MapBatches" not in op.name:  # below the split's filter/project
+                op = op.input_dependencies[0]
+            assert op.name == f"MapBatches({kg.annotate_batch.__name__})", op.name
+            assert op._ray_remote_args.get("num_gpus") == 1, op._ray_remote_args
+            assert op._compute == TaskPoolStrategy(size=cap), op._compute

@@ -67,6 +67,13 @@ def test_config_ini_and_validation(tmp_path):
     assert cfg.train_model is True
     cfg2 = PipelineConfig.from_ini(str(ini), overrides={"patience": 9})
     assert cfg2.patience == 9
+    # an INI from before the one tagging cap still loads: unknown keys
+    # (here the dropped tagger_concurrency_min) are ignored
+    old = tmp_path / "old.ini"
+    old.write_text(
+        "[ray]\ntagger_concurrency_min = 6\ntagger_concurrency_max = 3\n"
+    )
+    assert PipelineConfig.from_ini(str(old)).tagger_concurrency_max == 3
     with pytest.raises(ValueError):
         PipelineConfig(tagging_format="wrong").validate()
     with pytest.raises(ValueError):

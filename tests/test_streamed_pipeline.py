@@ -44,8 +44,8 @@ def _edges_norm(ds):
 )
 def test_streamed_equals_golden(tpath, assert_golden_graph, monkeypatch, tagger, finalize):
     """Nodes (with surfaces) and edges (with provenance) equal the frozen
-    goldens. Under the NEURAL tagger this also guards the per-actor
-    sequence memo (tag results must not depend on batch composition or
+    goldens. Under the NEURAL tagger this also guards the per-batch
+    sequence dedup (tag results must not depend on batch composition or
     arrival order); ``SMALL_INPUT_TURNS_MAX=0`` forces the distributed
     finalize."""
     import neuroner_ray.pipelines.kg_streamed as ks
